@@ -5,6 +5,7 @@ import pytest
 
 from chainkd import data as D
 from chainkd import distill as K
+from chainkd import evaluate as E
 from chainkd import tokenizers as tok
 from chainkd import transformer as M
 from chainkd.checkpoint import Checkpoint, Meta
@@ -14,6 +15,7 @@ from chainkd.distill import (
     ChainSpec,
     DistillConfig,
     DistillError,
+    DivergenceError,
     SourceRecipe,
     adam_step,
     distill_edge,
@@ -293,3 +295,22 @@ class TestBridge:
         spec = BridgeSpec("byte", "char", SMALL_S, n_samples=4)
         with pytest.raises(DistillError):
             run_bridge(spec, source, corpus(), DistillConfig(steps=1))
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("loop", ["train_lm", "distill_edge", "run_bridge", "compare_init"])
+    def test_blowup_names_step_two(self, loop):
+        # lr=1e30 unclipped: step 1 pushes weights to ~1e30, step 2's forward overflows
+        blowup = DistillConfig(steps=4, batch=2, seq_len=16, lr=1e30, grad_clip=None, seed=0, sft_warm_epochs=1)
+        c = corpus()
+        with pytest.raises(DivergenceError) as info:
+            if loop == "train_lm":
+                K.train_lm(SMALL_S, c, CHAR, blowup)
+            elif loop == "distill_edge":
+                distill_edge(ckpt(SMALL_T, 1, "t"), SMALL_S, c, CHAR, blowup)
+            elif loop == "run_bridge":
+                spec = BridgeSpec("byte", "char", SMALL_S, n_samples=4, gen_max_len=8, seed=1)
+                run_bridge(spec, ckpt(cfg(1, 1, 8, 16, vocab=260), 2, "source"), c, blowup)
+            else:
+                E.compare_init(ckpt(SMALL_S, 3, "cbd"), ckpt(SMALL_S, 4, "rand"), c, CHAR, blowup)
+        assert info.value.step == 2
