@@ -114,26 +114,6 @@ def assemble(stack: np.ndarray, idx: np.ndarray, pad: int) -> Batch:
     return tokens, targets, mask
 
 
-def batches(
-    docs: list[str],
-    vocab: Vocabulary,
-    batch: int,
-    seq_len: int,
-    seed: int,
-    epoch: int = 0,
-) -> Iterator[Batch]:
-    """One deterministically shuffled epoch of (tokens, targets, mask);
-    targets are the next token, mask excludes PAD targets only."""
-    if seq_len < 2:
-        raise ValueError("seq_len must be >= 2")
-    if not docs:
-        raise ValueError("empty split")
-    stack = np.stack(token_windows(docs, vocab, seq_len))
-    order = np.random.default_rng([seed, epoch]).permutation(len(stack))
-    for i in range(0, len(order) - batch + 1, batch):
-        yield assemble(stack, order[i : i + batch], vocab.pad)
-
-
 def batch_stream(docs: list[str], vocab: Vocabulary, batch: int, seq_len: int, seed: int) -> Iterator[Batch]:
     """Endless stream cycling epochs, reshuffled per epoch from the seed."""
     if seq_len < 2:

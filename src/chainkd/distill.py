@@ -11,7 +11,8 @@ source, giving the chain a homogeneous anchor zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from itertools import islice
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,15 +60,14 @@ class DistillConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.lr <= 0 or self.temperature <= 0:
             raise ValueError("lr and temperature must be positive")
         if self.sft_warm_epochs < 0:
             raise ValueError("sft_warm_epochs must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistillConfig":
@@ -214,7 +214,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
     return {k: g * scale for k, g in grads.items()}
 
 
-# -- training loops -----------------------------------------------------------------
+# -- training loop ------------------------------------------------------------------
 
 
 def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillConfig,
@@ -236,66 +236,72 @@ def _trainable(params: M.ParamSet) -> M.ParamSet:
     return params
 
 
-def _grads_from_tape(tape: GradTape, loss: Tensor, params: M.ParamSet) -> dict[str, np.ndarray]:
-    tape.backward(loss)
+def ce_loss(logits: Tensor, batch: tuple) -> Tensor:
+    """Masked next-token cross-entropy of a (tokens, targets, mask) batch."""
+    return M.loss_ce(logits, batch[1], batch[2])
+
+
+def _step(config: ModelConfig, params: M.ParamSet, batch: tuple, loss, cfg: DistillConfig,
+          state: AdamState, step: int) -> tuple[M.ParamSet, float]:
+    # its own frame, so the tape and its activations are freed at return
+    # instead of surviving into the next step's forward
+    try:
+        with GradTape() as tape:
+            value = loss(M.forward(config, params, batch[0]), batch)
+        tape.backward(value)
+    except NonFiniteError as e:
+        raise DivergenceError(step, str(e)) from e
     grads = {}
     for name, p in params.items():
         if p.grad is not None:
-            grads[name] = p.grad
-            p.grad = None
-    return grads
-
-
-def _one_step(
-    config: ModelConfig,
-    params: M.ParamSet,
-    batch: D.Batch,
-    cfg: DistillConfig,
-    state: AdamState,
-    teacher: Checkpoint | None,
-    step: int,
-    teacher_logits: Tensor | None = None,
-) -> tuple[M.ParamSet, float]:
-    tokens, targets, mask = batch
-    try:
-        t_logits = teacher_logits
-        if cfg.loss_kind != "ce" and t_logits is None:
-            if teacher is None:
-                raise DistillError(f"loss_kind {cfg.loss_kind} needs a teacher")
-            with no_grad():
-                t_logits = M.forward(teacher.config, teacher.params, tokens) * (1.0 / cfg.temperature)
-        with GradTape() as tape:
-            logits = M.forward(config, params, tokens)
-            if cfg.loss_kind == "ce":
-                loss = M.loss_ce(logits, targets, mask)
-            elif cfg.loss_kind == "reverse_kl":
-                loss = reverse_kl_loss(logits * (1.0 / cfg.temperature), t_logits, mask)
-            else:
-                loss = forward_kl_loss(logits * (1.0 / cfg.temperature), t_logits, mask)
-        grads = _grads_from_tape(tape, loss, params)
-    except NonFiniteError as e:
-        raise DivergenceError(step, str(e)) from e
+            grads[name], p.grad = p.grad, None
     if cfg.grad_clip is not None:
         grads = clip_global_norm(grads, cfg.grad_clip)
     params, _ = adam_step(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    return params, float(loss.data)
+    return params, float(value.data)
 
 
-def eval_ce(config: ModelConfig, params: M.ParamSet, docs: list[str], vocab: Vocabulary,
-            batch: int = 16, seq_len: int = 48) -> float:
-    """Aggregate mean NLL per unmasked position over a whole split."""
+def fit(
+    config: ModelConfig,
+    params: M.ParamSet,
+    batches,
+    loss,
+    cfg: DistillConfig,
+    state: AdamState | None = None,
+    first_step: int = 1,
+) -> tuple[M.ParamSet, list[float]]:
+    """The training loop: one clipped Adam step on `loss(logits, batch)` per
+    batch, where batch[0] holds the input tokens.  Steps are numbered from
+    `first_step` (a DivergenceError names the failing one); passing `state`
+    continues an earlier run's Adam moments."""
+    state = AdamState() if state is None else state
+    losses = []
+    for step, batch in enumerate(batches, first_step):
+        params, value = _step(config, params, batch, loss, cfg, state, step)
+        losses.append(value)
+    return params, losses
+
+
+def mean_nll(config: ModelConfig, params: M.ParamSet, batches) -> float:
+    """Aggregate mean NLL per unmasked position over (tokens, targets, mask)
+    batches, scored without a tape."""
     total = 0.0
     count = 0.0
     with no_grad():
-        for tokens, targets, mask in D.eval_windows(docs, vocab, batch, seq_len):
-            logits = M.forward(config, params, tokens)
-            logp = T.log_softmax(logits)
+        for tokens, targets, mask in batches:
+            logp = T.log_softmax(M.forward(config, params, tokens))
             nll = -T.gather_last(logp, targets)
             total += float((nll.data * mask).sum())
             count += float(mask.sum())
     if count == 0.0:
         raise DistillError("evaluation split has no unmasked positions")
     return total / count
+
+
+def eval_ce(config: ModelConfig, params: M.ParamSet, docs: list[str], vocab: Vocabulary,
+            batch: int = 16, seq_len: int = 48) -> float:
+    """mean_nll over every window of a split."""
+    return mean_nll(config, params, D.eval_windows(docs, vocab, batch, seq_len))
 
 
 def train_lm(
@@ -306,20 +312,15 @@ def train_lm(
     init: Checkpoint | None = None,
     name: str = "trained",
 ) -> Checkpoint:
-    """Plain cross-entropy training (source recipes, SFT, rand baselines)."""
+    """Plain cross-entropy training (source recipes, rand baselines)."""
     if init is not None:
         params = _trainable(dict(init.params))
         meta = init.meta
     else:
         params = _trainable(M.init_random(config, cfg.seed))
         meta = Meta(name=name, seed=cfg.seed)
-    state = AdamState()
     stream = D.batch_stream(corpus.train_docs, vocab, cfg.batch, cfg.seq_len, cfg.seed)
-    ce_cfg = DistillConfig(**{**cfg.to_dict(), "loss_kind": "ce"})
-    losses = []
-    for step in range(1, cfg.steps + 1):
-        params, loss = _one_step(config, params, next(stream), ce_cfg, state, None, step)
-        losses.append(loss)
+    params, losses = fit(config, params, islice(stream, cfg.steps), ce_loss, cfg)
     meta = meta.child(f"trained:ce steps={cfg.steps} seed={cfg.seed}", name=name,
                       step_count=meta.step_count + cfg.steps)
     meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": "ce", "losses": losses})
@@ -353,37 +354,41 @@ def distill_edge(
 
     losses: list[float] = []
     sft_losses: list[float] = []
-    state = AdamState()
-    step = 0
-    if cfg.sft_warm_epochs > 0 and cfg.steps > 0:
-        ce_cfg = DistillConfig(**{**cfg.to_dict(), "loss_kind": "ce"})
-        for epoch in range(cfg.sft_warm_epochs):
-            for batch in D.batches(corpus.train_docs, vocab, cfg.batch, cfg.seq_len, cfg.seed, epoch):
-                step += 1
-                params, loss = _one_step(student_config, params, batch, ce_cfg, state, None, step)
-                sft_losses.append(loss)
-
     if cfg.steps > 0:
         stack = np.stack(D.token_windows(corpus.train_docs, vocab, cfg.seq_len))
-        cache = None
-        if cfg.loss_kind != "ce":
+
+        def draws(n: int):
+            return islice(D.index_stream(len(stack), cfg.batch, cfg.seed), n)
+
+        # SFT warm-up is the stream's first sft_warm_epochs epochs; KD then
+        # draws the same stream again from epoch 0, on the same Adam state
+        state = AdamState()
+        n_sft = cfg.sft_warm_epochs * (len(stack) // cfg.batch)
+        sft = (D.assemble(stack, idx, vocab.pad) for idx in draws(n_sft))
+        params, sft_losses = fit(student_config, params, sft, ce_loss, cfg, state)
+        if cfg.loss_kind == "ce":
+            loss = ce_loss
+            kd = (D.assemble(stack, idx, vocab.pad) for idx in draws(cfg.steps))
+        else:
             # teacher logits depend only on the window, so score every window
             # once up front instead of re-running the teacher each step
             cache = _teacher_logit_cache(teacher, stack, cfg)
-        indices = D.index_stream(len(stack), cfg.batch, cfg.seed)
-        for _ in range(cfg.steps):
-            step += 1
-            idx = next(indices)
-            batch = D.assemble(stack, idx, vocab.pad)
-            t_logits = Tensor(cache[idx], dtype=cache.dtype.type) if cache is not None else None
-            params, loss = _one_step(student_config, params, batch, cfg, state, teacher, step, t_logits)
-            losses.append(loss)
+            kl = reverse_kl_loss if cfg.loss_kind == "reverse_kl" else forward_kl_loss
+            inv_temperature = 1.0 / cfg.temperature
+
+            def loss(logits: Tensor, batch: tuple) -> Tensor:
+                t_logits = Tensor(batch[3], dtype=batch[3].dtype.type)
+                return kl(logits * inv_temperature, t_logits, batch[2])
+
+            kd = ((*D.assemble(stack, idx, vocab.pad), cache[idx]) for idx in draws(cfg.steps))
+        params, losses = fit(student_config, params, kd, loss, cfg, state, first_step=len(sft_losses) + 1)
 
     stage = (
         f"distilled-from:{teacher.meta.name} loss={cfg.loss_kind} steps={cfg.steps}"
         f" sft_epochs={cfg.sft_warm_epochs} temperature={cfg.temperature:g} {init_stage} seed={cfg.seed}"
     )
-    meta = teacher.meta.child(stage, name=name, seed=cfg.seed, step_count=teacher.meta.step_count + step)
+    meta = teacher.meta.child(stage, name=name, seed=cfg.seed,
+                              step_count=teacher.meta.step_count + len(sft_losses) + len(losses))
     if sft_losses:
         meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": "sft", "losses": sft_losses})
     meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": cfg.loss_kind, "losses": losses})
@@ -465,10 +470,11 @@ def seqkd_generate(
 
 def _pair_windows(
     pairs: list[tuple[str, str]], vocab: Vocabulary, seq_len: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """BOS + prompt + completion + EOS in the bridge vocabulary; the loss
-    mask covers completion positions only (the -log P(y|x) objective)."""
-    windows = []
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BOS + prompt + completion + EOS in the bridge vocabulary, stacked as
+    (tokens, targets, mask); the loss mask covers completion positions only
+    (the -log P(y|x) objective)."""
+    rows = []
     for prompt, completion in pairs:
         x = encode(vocab, prompt)[: max(1, seq_len // 2)]
         y = encode(vocab, completion)
@@ -479,31 +485,13 @@ def _pair_windows(
         arr = np.asarray(seq, dtype=np.int64)
         tokens, targets = arr[:-1], arr[1:]
         mask = np.zeros(seq_len, dtype=np.float32)
-        first_target = len(x)  # targets[t] = seq[t+1]; completion starts at seq[1+len(x)]
-        for t in range(first_target, seq_len):
-            if targets[t] != vocab.pad:
-                mask[t] = 1.0
+        # targets[t] = seq[t+1]; the completion starts at seq[1+len(x)]
+        mask[len(x):] = targets[len(x):] != vocab.pad
         if mask.sum() > 0:
-            windows.append((tokens, targets, mask))
-    if not windows:
+            rows.append((tokens, targets, mask))
+    if not rows:
         raise DistillError("no trainable positions in the generated pairs")
-    return windows
-
-
-def _eval_pair_ce(config: ModelConfig, params: M.ParamSet, windows, batch: int) -> float:
-    total, count = 0.0, 0.0
-    with no_grad():
-        for i in range(0, len(windows), batch):
-            block = windows[i : i + batch]
-            tokens = np.stack([w[0] for w in block])
-            targets = np.stack([w[1] for w in block])
-            mask = np.stack([w[2] for w in block])
-            logits = M.forward(config, params, tokens)
-            logp = T.log_softmax(logits)
-            nll = -T.gather_last(logp, targets)
-            total += float((nll.data * mask).sum())
-            count += float(mask.sum())
-    return total / count
+    return tuple(np.stack(column) for column in zip(*rows))
 
 
 def run_bridge(spec: BridgeSpec, source: Checkpoint, corpus: D.Corpus, cfg: DistillConfig) -> Checkpoint:
@@ -525,34 +513,19 @@ def run_bridge(spec: BridgeSpec, source: Checkpoint, corpus: D.Corpus, cfg: Dist
         raise DistillError("corpus has no training documents for prompts")
     prompts = [docs[i % len(docs)] for i in range(spec.n_samples)]
     pairs = seqkd_generate(source, src_vocab, prompts, spec.gen_temperature, spec.gen_max_len, spec.seed)
-    windows = _pair_windows(pairs, bridge_vocab, cfg.seq_len)
+    tokens, targets, mask = _pair_windows(pairs, bridge_vocab, cfg.seq_len)
+    n = len(tokens)
+
+    def blocks():
+        return ((tokens[i : i + cfg.batch], targets[i : i + cfg.batch], mask[i : i + cfg.batch])
+                for i in range(0, n, cfg.batch))
 
     config = spec.bridge_config
     params = _trainable(M.init_random(config, cfg.seed))
-    ce_step0 = _eval_pair_ce(config, params, windows, cfg.batch)
-
-    state = AdamState()
-    ce_cfg = DistillConfig(**{**cfg.to_dict(), "loss_kind": "ce"})
-    losses = []
-    bs = min(cfg.batch, len(windows))
-    rng_epoch = 0
-    idx = 0
-    order = np.random.default_rng([cfg.seed, rng_epoch]).permutation(len(windows))
-    for step in range(1, cfg.steps + 1):
-        if idx + bs > len(order):
-            rng_epoch += 1
-            order = np.random.default_rng([cfg.seed, rng_epoch]).permutation(len(windows))
-            idx = 0
-        block = [windows[j] for j in order[idx : idx + bs]]
-        idx += bs
-        batch = (
-            np.stack([w[0] for w in block]),
-            np.stack([w[1] for w in block]),
-            np.stack([w[2] for w in block]),
-        )
-        params, loss = _one_step(config, params, batch, ce_cfg, state, None, step)
-        losses.append(loss)
-    ce_final = _eval_pair_ce(config, params, windows, cfg.batch)
+    ce_step0 = mean_nll(config, params, blocks())
+    draws = islice(D.index_stream(n, min(cfg.batch, n), cfg.seed), cfg.steps)
+    params, losses = fit(config, params, ((tokens[idx], targets[idx], mask[idx]) for idx in draws), ce_loss, cfg)
+    ce_final = mean_nll(config, params, blocks())
 
     stage = (
         f"bridged-from:{source.meta.name} tokenizers={spec.source_tokenizer}->{spec.bridge_tokenizer}"

@@ -11,13 +11,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import data as D
 from . import transformer as M
 from .checkpoint import Checkpoint
-from .distill import AdamState, DistillConfig, _one_step, _trainable, eval_ce
+from .distill import AdamState, DistillConfig, _trainable, ce_loss, eval_ce, fit
 from .surgery import interpolate
 from .tokenizers import Vocabulary
 from .transformer import ModelConfig
@@ -132,11 +133,6 @@ def rouge_l(candidate: list, reference: list, beta: float = 1.0) -> float:
     return (1 + beta * beta) * p * r / (r + beta * beta * p)
 
 
-def rouge_l_text(candidate: str, reference: str, beta: float = 1.0) -> float:
-    """Whitespace word-split variant for raw strings."""
-    return rouge_l(candidate.split(), reference.split(), beta)
-
-
 # -- convergence ---------------------------------------------------------------------
 
 
@@ -190,19 +186,19 @@ def _train_with_val_curve(
     eval_every: int,
 ) -> tuple[Curve, list[float]]:
     """CE-train a copy of the checkpoint, recording the validation loss at
-    step 0 and every `eval_every` steps, plus the per-step training losses."""
+    step 0, every `eval_every` steps and the last step, plus the per-step
+    training losses."""
     config = ckpt.config
     params = _trainable(dict(ckpt.params))
     val_curve: Curve = [(0, eval_ce(config, params, corpus.val_docs, vocab, cfg.batch, cfg.seq_len))]
     train_losses: list[float] = []
     state = AdamState()
-    ce_cfg = DistillConfig(**{**cfg.to_dict(), "loss_kind": "ce"})
     stream = D.batch_stream(corpus.train_docs, vocab, cfg.batch, cfg.seq_len, cfg.seed)
-    for step in range(1, cfg.steps + 1):
-        params, loss = _one_step(config, params, next(stream), ce_cfg, state, None, step)
-        train_losses.append(loss)
-        if step % eval_every == 0 or step == cfg.steps:
-            val_curve.append((step, eval_ce(config, params, corpus.val_docs, vocab, cfg.batch, cfg.seq_len)))
+    for done in range(0, cfg.steps, eval_every):
+        chunk = min(eval_every, cfg.steps - done)
+        params, losses = fit(config, params, islice(stream, chunk), ce_loss, cfg, state, first_step=done + 1)
+        train_losses += losses
+        val_curve.append((done + chunk, eval_ce(config, params, corpus.val_docs, vocab, cfg.batch, cfg.seq_len)))
     return val_curve, train_losses
 
 
@@ -218,6 +214,8 @@ def compare_init(
     report the two validation curves plus the step-zero gap."""
     if cbd.config != rand.config:
         raise EvalError("compare_init requires identical model configs")
+    if eval_every < 1:
+        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     reports = []
     for name, ckpt in (("cbd", cbd), ("rand", rand)):
         val_curve, train_losses = _train_with_val_curve(ckpt, corpus, vocab, cfg, eval_every)

@@ -111,14 +111,3 @@ def decode(vocab: Vocabulary, ids: list[int]) -> str:
         # pad/bos/eos render as empty
     return "".join(parts)
 
-
-def save_vocab(vocab: Vocabulary, path: str) -> None:
-    """One token per line, line number = id; control characters escaped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in vocab.id_to_token:
-            fh.write(token.encode("unicode_escape").decode("ascii") + "\n")
-
-
-def load_tokens(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n").encode("ascii").decode("unicode_escape") for line in fh]

@@ -234,6 +234,14 @@ class TestEvalCommands:
         assert len(rows) == 1
         assert float(rows[0]["loss"]) == metrics["step0_loss"]
 
+    def test_compare_init_eval_every_zero_exit_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.cbdc", tmp_path / "b.cbdc"
+        write_ckpt(a, SMALL, 1, "a")
+        write_ckpt(b, SMALL, 2, "b")
+        assert main(["compare-init", "--cbd", str(a), "--rand", str(b), "--corpus", json.dumps(CORPUS),
+                     "--steps", "2", "--seq-len", "24", "--eval-every", "0"]) == 2
+        assert "eval_every" in capsys.readouterr().err
+
     def test_sweep_alpha_boundaries_consistent(self, tmp_path, capsys):
         small, large = tmp_path / "s.cbdc", tmp_path / "l.cbdc"
         write_ckpt(small, SMALL, 1, "s")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,13 @@ class TestGenerators:
         assert all(set(doc) <= allowed for doc in c.documents)
 
 
+def one_epoch(docs, batch, seq_len, seed, epoch=0):
+    """The batches batch_stream draws during one epoch."""
+    per_epoch = len(D.token_windows(docs, CHAR, seq_len)) // batch
+    stream = D.batch_stream(docs, CHAR, batch, seq_len, seed)
+    return list(itertools.islice(stream, epoch * per_epoch, (epoch + 1) * per_epoch))
+
+
 class TestSplit:
     def test_split_deterministic_and_disjoint(self):
         c1 = D.gen_markov(1, 20, 30, 1, "ab")
@@ -60,7 +69,7 @@ class TestSplit:
     def test_no_val_doc_in_training_batches(self):
         corpus = D.gen_markov(4, 30, 40, 1, "abc")
         val_texts = set(corpus.val_docs)
-        for tokens, _, mask in D.batches(corpus.train_docs, CHAR, batch=2, seq_len=16, seed=0):
+        for tokens, _, mask in one_epoch(corpus.train_docs, batch=2, seq_len=16, seed=0):
             for row, mrow in zip(tokens, mask):
                 ids = [int(t) for t, m in zip(row, mrow) if t >= 4]
                 text = tok.decode(CHAR, ids)
@@ -71,18 +80,18 @@ class TestSplit:
 class TestBatches:
     def test_targets_shift_by_one(self):
         corpus = D.gen_markov(2, 10, 25, 1, "ab")
-        for tokens, targets, mask in D.batches(corpus.train_docs, CHAR, 2, 8, seed=1):
+        for tokens, targets, mask in one_epoch(corpus.train_docs, 2, 8, seed=1):
             assert np.array_equal(tokens[:, 1:][mask[:, :-1] > 0], targets[:, :-1][mask[:, :-1] > 0])
 
     def test_mask_excludes_pad_only(self):
         corpus = D.Corpus(["ab"], split_ratio=1.0)
-        (tokens, targets, mask), = list(D.batches(corpus.train_docs, CHAR, 1, 8, seed=0))
+        (tokens, targets, mask), = one_epoch(corpus.train_docs, 1, 8, seed=0)
         assert mask.tolist()[0] == [(1.0 if t != CHAR.pad else 0.0) for t in targets[0]]
 
     def test_deterministic_stream(self):
         corpus = D.gen_markov(3, 12, 30, 1, "abc")
-        a = list(D.batches(corpus.train_docs, CHAR, 2, 10, seed=5))
-        b = list(D.batches(corpus.train_docs, CHAR, 2, 10, seed=5))
+        a = one_epoch(corpus.train_docs, 2, 10, seed=5)
+        b = one_epoch(corpus.train_docs, 2, 10, seed=5)
         assert len(a) == len(b) > 0
         for (t1, y1, m1), (t2, y2, m2) in zip(a, b):
             assert t1.tobytes() == t2.tobytes()
@@ -91,17 +100,25 @@ class TestBatches:
 
     def test_epochs_reshuffle(self):
         corpus = D.gen_markov(3, 12, 30, 1, "abc")
-        a = list(D.batches(corpus.train_docs, CHAR, 2, 10, seed=5, epoch=0))
-        b = list(D.batches(corpus.train_docs, CHAR, 2, 10, seed=5, epoch=1))
+        a = one_epoch(corpus.train_docs, 2, 10, seed=5, epoch=0)
+        b = one_epoch(corpus.train_docs, 2, 10, seed=5, epoch=1)
         assert any(x[0].tobytes() != y[0].tobytes() for x, y in zip(a, b))
+
+    def test_index_stream_epochs_are_seeded_permutations(self):
+        stream = D.index_stream(10, 3, seed=4)
+        epochs = [np.concatenate([next(stream) for _ in range(3)]) for _ in range(2)]
+        for epoch, drawn in enumerate(epochs):
+            order = np.random.default_rng([4, epoch]).permutation(10)
+            assert drawn.tolist() == order[:9].tolist()  # the ragged tail is dropped
+        assert epochs[0].tolist() != epochs[1].tolist()
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            list(D.batches([], CHAR, 2, 8, seed=0))
+            next(D.batch_stream([], CHAR, 2, 8, seed=0))
 
     def test_seq_len_validated(self):
         with pytest.raises(ValueError):
-            list(D.batches(["ab"], CHAR, 1, 1, seed=0))
+            next(D.batch_stream(["ab"], CHAR, 1, 1, seed=0))
 
     def test_stream_cycles(self):
         corpus = D.Corpus(["abcabc", "defdef"], split_ratio=1.0)

@@ -18,7 +18,6 @@ from chainkd.evaluate import (
     perplexity,
     read_report,
     rouge_l,
-    rouge_l_text,
     speedup,
     steps_to_target,
 )
@@ -110,7 +109,7 @@ class TestRougeL:
 
     def test_the_cat_sat(self):
         # LCS=2, P=2/3, R=1 -> F=0.8
-        assert abs(rouge_l_text("the cat sat", "the cat") - 0.8) < 1e-12
+        assert abs(rouge_l("the cat sat".split(), "the cat".split()) - 0.8) < 1e-12
 
     def test_disjoint(self):
         assert rouge_l(list("abc"), list("xyz")) == 0.0
@@ -217,6 +216,13 @@ class TestProtocols:
         ra, rb = compare_init(a, b, c, CHAR, DistillConfig(steps=20, seed=0, sft_warm_epochs=0), eval_every=10)
         assert ra.metrics["step_zero_gap"] == 0.0
         assert [x[1] for x in ra.curves["cbd"]] == [x[1] for x in rb.curves["rand"]]
+
+    @pytest.mark.parametrize("eval_every", [0, -1])
+    def test_compare_init_rejects_eval_every_below_one(self, eval_every):
+        config = cfg(1, 1, 8, 16)
+        with pytest.raises(ValueError, match="eval_every"):
+            compare_init(ckpt(config, 1), ckpt(config, 2), corpus(), CHAR,
+                         DistillConfig(steps=2, sft_warm_epochs=0), eval_every=eval_every)
 
     def test_compare_init_config_mismatch(self):
         with pytest.raises(EvalError):

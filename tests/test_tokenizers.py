@@ -72,14 +72,6 @@ class TestDecode:
 
 
 class TestSerialization:
-    def test_one_token_per_line_roundtrip(self, tmp_path):
-        for v in (BYTE, CHAR):
-            path = tmp_path / f"{v.name}.vocab"
-            tok.save_vocab(v, str(path))
-            lines = path.read_text(encoding="utf-8").splitlines()
-            assert len(lines) == v.size
-            assert tok.load_tokens(str(path)) == list(v.id_to_token)
-
     def test_get_vocab(self):
         assert tok.get_vocab("byte").size == 260
         assert tok.get_vocab("char").size == 100
