@@ -11,8 +11,8 @@ source, giving the chain a homogeneous anchor zero.
 from __future__ import annotations
 
 import math
-from itertools import islice
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        if self.batch < 1 or self.seq_len < 2:
+            raise ValueError("batch must be >= 1 and seq_len >= 2")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.lr <= 0 or self.temperature <= 0:
@@ -312,7 +312,7 @@ def train_lm(
     init: Checkpoint | None = None,
     name: str = "trained",
 ) -> Checkpoint:
-    """Plain cross-entropy training (source recipes, rand baselines)."""
+    """Plain cross-entropy training (source recipes, SFT, rand baselines)."""
     if init is not None:
         params = _trainable(dict(init.params))
         meta = init.meta

@@ -186,11 +186,12 @@ class TestDistillEdge:
         distill_edge(teacher, SMALL_S, corpus(), CHAR, DistillConfig(steps=5, sft_warm_epochs=0))
         assert {k: v.data.tobytes() for k, v in teacher.params.items()} == before
 
-    @pytest.mark.parametrize("batch", [0, -1])
-    def test_batch_below_one_rejected(self, batch):
-        # unchecked, 0 divides by zero when sizing SFT epochs and -1 draws empty epochs forever
-        with pytest.raises(ValueError, match="batch"):
-            DistillConfig(steps=1, batch=batch)
+    @pytest.mark.parametrize("batch,seq_len", [(0, 8), (-1, 8), (4, 1), (4, 0)])
+    def test_batch_and_seq_len_validated(self, batch, seq_len):
+        # without the check, batch 0 divides by zero when sizing SFT epochs, batch -1
+        # draws empty epochs forever, and seq_len 0 fails inside range()
+        with pytest.raises(ValueError, match="batch must be >= 1 and seq_len >= 2"):
+            DistillConfig(steps=1, batch=batch, seq_len=seq_len)
 
     def test_vocab_mismatch_rejected(self):
         teacher = ckpt(cfg(2, 2, 16, 32, vocab=260), 0)
