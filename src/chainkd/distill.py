@@ -11,6 +11,8 @@ source, giving the chain a homogeneous anchor zero.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -36,6 +38,10 @@ class DivergenceError(DistillError):
     def __init__(self, step: int, detail: str):
         super().__init__(f"divergence at step {step}: {detail}")
         self.step = step
+        self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.step, self.detail)
 
 
 LOSS_KINDS = ("reverse_kl", "forward_kl", "ce")
@@ -202,12 +208,20 @@ def adam_step(
         denom += eps
         update = m / denom
         update *= lr / bc1
-        out[name] = T.from_owned(p.data - update, requires_grad=True)
+        try:
+            out[name] = T.from_owned(p.data - update, requires_grad=True)
+        except NonFiniteError:
+            raise NonFiniteError("adam_step", f"the update of {name}") from None
     return out, state
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    squares = [float((g * g).sum()) for g in grads.values()]
+    total = math.sqrt(sum(squares))
+    if math.isnan(total):
+        # only a NaN entry makes a sum of squares NaN; name the first such gradient
+        name = next(name for name, sq in zip(grads, squares) if math.isnan(sq))
+        raise NonFiniteError("clip_global_norm", f"the gradient of {name}")
     if total <= max_norm or total == 0.0:
         return grads
     scale = max_norm / total
@@ -217,16 +231,73 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 # -- training loop ------------------------------------------------------------------
 
 
+def _score_blocks(teacher: Checkpoint, stack: np.ndarray, inv_temperature: np.float32, out: np.ndarray,
+                  eval_batch: int, blocks: range) -> None:
+    """Write the scaled teacher logits of windows [i, i + eval_batch) for
+    every block start i into `out`."""
+    with no_grad():
+        for i in blocks:
+            tokens = stack[i : i + eval_batch, :-1]
+            logits = M.forward(teacher.config, teacher.params, tokens).data
+            np.multiply(logits, inv_temperature, out=out[i : i + len(tokens)])
+
+
+_SHARE_WORK: tuple = ()
+
+
+def _adopt_work(*work) -> None:
+    # pool initializer: a forked worker inherits these objects (the output
+    # array included, as the same shared mapping), so nothing is pickled
+    global _SHARE_WORK
+    _SHARE_WORK = work
+
+
+def _score_share(blocks: range) -> None:
+    _score_blocks(*_SHARE_WORK, blocks)
+
+
+def _allowed_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
 def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillConfig,
                          eval_batch: int = 32) -> np.ndarray:
-    """Temperature-scaled teacher logits for every training window."""
+    """Temperature-scaled teacher logits for every training window.
+
+    The eval_batch-aligned blocks are split into one contiguous share per
+    allowed CPU.  The caller scores the first share; forked workers score
+    the others straight into a shared anonymous mapping.  Each block is the
+    same forward on the same rows whoever runs it, so the bytes do not
+    depend on the CPU count."""
     n, width = stack.shape
-    out = np.empty((n, width - 1, teacher.config.vocab_size), dtype=np.float32)
-    with no_grad():
-        for i in range(0, n, eval_batch):
-            tokens = stack[i : i + eval_batch, :-1]
-            out[i : i + len(tokens)] = M.forward(teacher.config, teacher.params, tokens).data
-    out *= np.float32(1.0 / cfg.temperature)
+    shape = (n, width - 1, teacher.config.vocab_size)
+    buf = mmap.mmap(-1, math.prod(shape) * 4)
+    out = np.frombuffer(buf, dtype=np.float32).reshape(shape)
+    starts = range(0, n, eval_batch)
+    k = min(_allowed_cpus(), len(starts))
+    shares = [starts[j * len(starts) // k : (j + 1) * len(starts) // k] for j in range(k)]
+    work = (teacher, stack, np.float32(1.0 / cfg.temperature), out, eval_batch)
+    pool = None
+    if k > 1:
+        # imported here: loading the pool machinery adds about 2 MB to the
+        # peak RSS of a process that never forks
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, so the workers inherit the teacher, the windows and the
+        # mapping instead of receiving pickles; chainkd starts no threads
+        pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt_work, initargs=work)
+    try:
+        futures = [pool.submit(_score_share, share) for share in shares[1:]]
+        _score_blocks(*work, shares[0])
+        # in share order, so a failure raises what a serial pass would
+        for f in futures:
+            f.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return out
 
 
@@ -244,20 +315,22 @@ def ce_loss(logits: Tensor, batch: tuple) -> Tensor:
 def _step(config: ModelConfig, params: M.ParamSet, batch: tuple, loss, cfg: DistillConfig,
           state: AdamState, step: int) -> tuple[M.ParamSet, float]:
     # its own frame, so the tape and its activations are freed at return
-    # instead of surviving into the next step's forward
+    # instead of surviving into the next step's forward.  Backward ops are
+    # not checked for NaN/Inf: a non-finite gradient is caught where it is
+    # used, by the clip's norm or by the check on Adam's new values.
     try:
         with GradTape() as tape:
             value = loss(M.forward(config, params, batch[0]), batch)
         tape.backward(value)
+        grads = {}
+        for name, p in params.items():
+            if p.grad is not None:
+                grads[name], p.grad = p.grad, None
+        if cfg.grad_clip is not None:
+            grads = clip_global_norm(grads, cfg.grad_clip)
+        params, _ = adam_step(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     except NonFiniteError as e:
         raise DivergenceError(step, str(e)) from e
-    grads = {}
-    for name, p in params.items():
-        if p.grad is not None:
-            grads[name], p.grad = p.grad, None
-    if cfg.grad_clip is not None:
-        grads = clip_global_norm(grads, cfg.grad_clip)
-    params, _ = adam_step(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     return params, float(value.data)
 
 

@@ -24,11 +24,17 @@ class TensorError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """An operation produced NaN or Inf.  Carries the operation name."""
+    """An operation produced NaN or Inf.  Carries the operation name and,
+    when known, what it produced them in (e.g. "the update of L0.ffn.w1")."""
 
-    def __init__(self, op: str):
-        super().__init__(f"operation '{op}' produced non-finite values")
+    def __init__(self, op: str, where: str | None = None):
+        detail = f" in {where}" if where else ""
+        super().__init__(f"operation '{op}' produced non-finite values{detail}")
         self.op = op
+        self.where = where
+
+    def __reduce__(self):
+        return type(self), (self.op, self.where)
 
 
 class Tensor:
@@ -150,14 +156,17 @@ class GradTape:
             for t in inputs:
                 t.grad = None
         root.grad = np.ones((), dtype=root.dtype)
-        for op, inputs, out, backward in reversed(self._entries):
-            if out.grad is None:
-                continue
-            grads = backward(out.grad)
-            for t, g in zip(inputs, grads):
-                if g is None or not t.requires_grad:
+        # gradients are not checked per op (the training step checks them
+        # where they are used), so silence numpy's warnings here too
+        with np.errstate(all="ignore"):
+            for op, inputs, out, backward in reversed(self._entries):
+                if out.grad is None:
                     continue
-                t.grad = g if t.grad is None else t.grad + g
+                grads = backward(out.grad)
+                for t, g in zip(inputs, grads):
+                    if g is None or not t.requires_grad:
+                        continue
+                    t.grad = g if t.grad is None else t.grad + g
 
 
 class no_grad:
@@ -387,7 +396,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise TensorError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, x.shape[-1])
-    out = (x2 @ w.data + b.data).reshape(lead + (w.shape[-1],))
+    out = x2 @ w.data
+    out += b.data
+    out = out.reshape(lead + (w.shape[-1],))
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -437,11 +448,15 @@ def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
 def softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis, stabilised by max subtraction."""
     m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = np.subtract(x.data, m, out=np.empty_like(x.data))
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        gy = np.multiply(g, y, out=np.empty_like(y))
+        np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+        gy *= y
+        return (gy,)
 
     return _emit("softmax", (x,), y, backward)
 
@@ -468,19 +483,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (n,) or beta.shape != (n,):
         raise TensorError(f"layer_norm affine params must have shape ({n},)")
     mu = x.data.mean(axis=-1, keepdims=True, dtype=x.dtype)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True, dtype=x.dtype)
+    xh = np.subtract(x.data, mu, out=np.empty_like(x.data))
+    sq = np.multiply(xh, xh, out=np.empty_like(xh))
+    var = np.mean(sq, axis=-1, keepdims=True, dtype=x.dtype)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xh = xc * inv
-    y = gamma.data * xh + beta.data
+    xh *= inv
+    y = np.multiply(xh, gamma.data, out=sq)
+    y += beta.data
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xh).sum(axis=lead)
+        gx = np.multiply(g, xh, out=np.empty_like(xh))
+        dgamma = gx.sum(axis=lead)
         dbeta = g.sum(axis=lead)
-        dxh = g * gamma.data
-        dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True) - xh * (dxh * xh).mean(axis=-1, keepdims=True))
-        return dx, dgamma, dbeta
+        dxh = np.multiply(g, gamma.data, out=np.empty_like(xh))
+        np.multiply(dxh, xh, out=gx)
+        proj = gx.mean(axis=-1, keepdims=True)
+        np.multiply(xh, proj, out=gx)
+        dxh -= dxh.mean(axis=-1, keepdims=True)
+        dxh -= gx
+        dxh *= inv
+        return dxh, dgamma, dbeta
 
     return _emit("layer_norm", (x, gamma, beta), y, backward)
 
@@ -490,15 +513,33 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU: 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715x^3)))."""
     c = np.asarray(_GELU_C, dtype=x.dtype)
     k = np.asarray(0.044715, dtype=x.dtype)
-    sq = x.data * x.data  # x**n takes numpy's slow generic pow path on f32
-    u = c * (x.data + k * (sq * x.data))
-    t = np.tanh(u)
-    y = 0.5 * x.data * (1.0 + t)
+    # x**n takes numpy's slow generic pow path on f32, so cube by products;
+    # u is built in place in the buffer that ends as tanh(u), kept for backward
+    t = np.multiply(x.data, x.data, out=np.empty_like(x.data))
+    t *= x.data
+    t *= k
+    t += x.data
+    t *= c
+    np.tanh(t, out=t)
+    y = np.multiply(x.data, 0.5, out=np.empty_like(x.data))
+    y *= t + 1.0
 
     def backward(g):
-        du = c * (1.0 + 3.0 * k * sq)
-        dy = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        return (g * dy,)
+        # dy = 0.5(1 + t) + 0.5x(1 - t^2) * c(1 + 3k x^2), in two buffers
+        dy = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, dy, out=dy)
+        buf = np.multiply(x.data, 0.5, out=np.empty_like(t))
+        dy *= buf
+        np.multiply(x.data, x.data, out=buf)
+        buf *= 3.0 * k
+        buf += 1.0
+        buf *= c
+        dy *= buf
+        np.add(t, 1.0, out=buf)
+        buf *= 0.5
+        dy += buf
+        dy *= g
+        return (dy,)
 
     return _emit("gelu", (x,), y, backward)
 

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from chainkd import transformer as M
 from chainkd.checkpoint import Checkpoint, Meta, load, save
 from chainkd.cli import main
 from chainkd.surgery import apply_transform, default_alpha, plan_expand
+from chainkd.tensor import Tensor
 from chainkd.transformer import ModelConfig
 
 
@@ -271,6 +273,22 @@ class TestEvalCommands:
         with pytest.raises(SystemExit) as e:
             main(["interpolate"])  # missing required flags
         assert e.value.code == 2
+
+
+class TestDivergenceExit:
+    def test_nan_gradient_exits_3_without_traceback(self, tmp_path, capsys):
+        # the copied w1 = 1e37 keeps the loss finite but makes GELU's gradient NaN
+        config = ModelConfig.from_dict(SMALL)
+        params = M.init_random(config, 0)
+        params["L0.ffn.w1"] = Tensor(np.full(params["L0.ffn.w1"].shape, 1e37, dtype=np.float32))
+        teacher = tmp_path / "teacher.cbdc"
+        save(Checkpoint(config, params, Meta(name="teacher", seed=0)), str(teacher))
+        code = main(["distill", "--teacher", str(teacher), "--student-config", json.dumps(SMALL),
+                     "--corpus", json.dumps(CORPUS), "--tokenizer", "char", "--loss", "ce",
+                     "--steps", "3", "--batch", "2", "--seq-len", "16", "--out", str(tmp_path / "s.cbdc")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: divergence at step 1:") and "Traceback" not in err
 
 
 class TestOutDirEnv:

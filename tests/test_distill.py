@@ -321,3 +321,18 @@ class TestDivergence:
             else:
                 E.compare_init(ckpt(SMALL_S, 3, "cbd"), ckpt(SMALL_S, 4, "rand"), c, CHAR, blowup)
         assert info.value.step == 2
+
+    @pytest.mark.parametrize("grad_clip", [1.0, None])
+    def test_nan_gradient_names_step_and_parameter(self, grad_clip):
+        # w1 = 1e37: LN output rows sum to ~0, so the pre-activation stays finite
+        # and so does the loss, but GELU's backward computes 0 * inf = NaN
+        params = M.init_random(SMALL_S, 0)
+        params["L0.ffn.w1"] = Tensor(np.full(params["L0.ffn.w1"].shape, 1e37, dtype=np.float32))
+        init = Checkpoint(SMALL_S, params, Meta(name="init", seed=0))
+        nan_cfg = DistillConfig(steps=3, batch=2, seq_len=16, grad_clip=grad_clip, seed=0)
+        with pytest.raises(DivergenceError) as info:
+            K.train_lm(SMALL_S, corpus(), CHAR, nan_cfg, init=init)
+        assert info.value.step == 1
+        op = "clip_global_norm" if grad_clip is not None else "adam_step"
+        assert f"operation '{op}'" in str(info.value)
+        assert "embed.tok" in str(info.value)  # the first parameter, in order, whose gradient is NaN

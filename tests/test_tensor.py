@@ -223,3 +223,136 @@ class TestTapeAndInvariants:
         expected[1] = 2.0
         expected[3] = 1.0
         assert np.array_equal(grads[0].data, expected)
+
+
+# -- in-place kernels against their frozen out-of-place formulas ----------------------
+#
+# Each reference below is the op's formula as written before its kernel moved
+# to out= buffers and in-place ufuncs.  The rewrite must apply the same float
+# operations to the same operands in the same order, so forward and backward
+# outputs must match byte for byte on f32 inputs.
+
+
+def _ref_gelu(x):
+    c = np.asarray(math.sqrt(2.0 / math.pi), dtype=x.dtype)
+    k = np.asarray(0.044715, dtype=x.dtype)
+    sq = x * x
+    u = c * (x + k * (sq * x))
+    t = np.tanh(u)
+    y = 0.5 * x * (1.0 + t)
+
+    def backward(g):
+        du = c * (1.0 + 3.0 * k * sq)
+        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        return (g * dy,)
+
+    return y, backward
+
+
+def _ref_layer_norm(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True, dtype=x.dtype)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True, dtype=x.dtype)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xh = xc * inv
+    y = gamma * xh + beta
+
+    def backward(g):
+        lead = tuple(range(g.ndim - 1))
+        dgamma = (g * xh).sum(axis=lead)
+        dbeta = g.sum(axis=lead)
+        dxh = g * gamma
+        dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True) - xh * (dxh * xh).mean(axis=-1, keepdims=True))
+        return dx, dgamma, dbeta
+
+    return y, backward
+
+
+def _ref_softmax(x):
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+
+    return y, backward
+
+
+def _ref_linear(x, w, b):
+    lead = x.shape[:-1]
+    x2 = x.reshape(-1, x.shape[-1])
+    out = (x2 @ w + b).reshape(lead + (w.shape[-1],))
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ w.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return out, backward
+
+
+def _f32(rng, shape, scale=1.0):
+    return (scale * rng.normal(size=shape)).astype(np.float32)
+
+
+def _kernel_case(op, shape, rng):
+    """(tape op, reference, input arrays) with the last axis of `shape` as the
+    op's feature axis."""
+    n = shape[-1] if shape else 1
+    if op == "gelu":
+        x = _f32(rng, shape, 3.0)
+        if x.ndim:
+            x.reshape(-1)[:4] = [0.0, 12.0, -12.0, 1e4][: x.size]
+        return T.gelu, _ref_gelu, [x]
+    if op == "layer_norm":
+        return T.layer_norm, _ref_layer_norm, [_f32(rng, shape, 2.0), _f32(rng, (n,)), _f32(rng, (n,))]
+    if op == "softmax":
+        return T.softmax, _ref_softmax, [_f32(rng, shape, 4.0)]
+    return T.linear, _ref_linear, [_f32(rng, shape), _f32(rng, (n, 40), 0.1), _f32(rng, (40,))]
+
+
+KERNEL_SHAPES = {
+    # only GELU takes a 0-d input; the others act along a last axis
+    "gelu": [(), (1, 1, 7), (32, 48, 384)],
+    "layer_norm": [(1, 1, 7), (32, 48, 384)],
+    "softmax": [(1, 1, 7), (32, 48, 384)],
+    "linear": [(1, 1, 7), (32, 48, 384)],
+}
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("op,shape", [(op, s) for op, shapes in KERNEL_SHAPES.items() for s in shapes])
+    def test_bytes_match_frozen_formula(self, op, shape):
+        rng = np.random.default_rng(len(shape) + 17)
+        fn, ref, arrays = _kernel_case(op, shape, rng)
+        before = [a.tobytes() for a in arrays]
+        inputs = [Tensor(a) for a in arrays]
+        for t in inputs:
+            t.requires_grad = True
+        with GradTape() as tape:
+            y = fn(*inputs)
+            upstream = Tensor(_f32(rng, y.shape))
+            # d(sum(y * upstream))/dy is upstream itself, bit for bit
+            loss = (y * upstream).sum()
+        tape.backward(loss)
+
+        with np.errstate(all="ignore"):
+            ref_y, ref_backward = ref(*arrays)
+            ref_grads = ref_backward(upstream.data)
+        assert y.data.tobytes() == np.asarray(ref_y, dtype=np.float32).tobytes()
+        for t, g in zip(inputs, ref_grads):
+            assert t.grad.dtype == np.float32
+            assert t.grad.tobytes() == np.asarray(g, dtype=np.float32).tobytes()
+        assert [t.data.tobytes() for t in inputs] == before
+
+    @pytest.mark.parametrize("op", sorted(KERNEL_SHAPES))
+    def test_grad_check_alone(self, op):
+        rng = np.random.default_rng(23)
+        fn, _, arrays = _kernel_case(op, (2, 3, 5), rng)
+        params = [Tensor(a.astype(np.float64) * 0.5, dtype=F64) for a in arrays]
+        weights = Tensor(rng.normal(size=fn(*params).shape), dtype=F64)
+
+        def f(ps):
+            return (fn(*ps) * weights).sum()
+
+        assert grad_check(f, params) < 1e-6
