@@ -10,6 +10,7 @@ source, giving the chain a homogeneous anchor zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -261,6 +262,34 @@ def _allowed_cpus() -> int:
     return len(affinity(0)) if affinity is not None else 1
 
 
+_OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, or None where no such OpenBLAS can be found: another BLAS, or no
+    /proc/self/maps to find it by."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {fields[5].rstrip("\n") for fields in (line.split(maxsplit=5) for line in maps)
+                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+    return None
+
+
 def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillConfig,
                          eval_batch: int = 32) -> np.ndarray:
     """Temperature-scaled teacher logits for every training window.
@@ -269,27 +298,40 @@ def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillCon
     allowed CPU.  The caller scores the first share; forked workers score
     the others straight into a shared anonymous mapping.  Each block is the
     same forward on the same rows whoever runs it, so the bytes do not
-    depend on the CPU count."""
+    depend on the CPU count.
+
+    While the workers run, OpenBLAS is held to one thread in every process,
+    so k processes use k CPUs: k processes of multi-threaded BLAS on k CPUs
+    busy-wait on each other and score slower than one process alone.  Where
+    the thread count cannot be set (a BLAS other than OpenBLAS), the caller
+    scores every block itself."""
     n, width = stack.shape
     shape = (n, width - 1, teacher.config.vocab_size)
     buf = mmap.mmap(-1, math.prod(shape) * 4)
     out = np.frombuffer(buf, dtype=np.float32).reshape(shape)
     starts = range(0, n, eval_batch)
     k = min(_allowed_cpus(), len(starts))
+    blas = _openblas_threads() if k > 1 else None
+    if blas is None:
+        k = 1
     shares = [starts[j * len(starts) // k : (j + 1) * len(starts) // k] for j in range(k)]
     work = (teacher, stack, np.float32(1.0 / cfg.temperature), out, eval_batch)
-    pool = None
-    if k > 1:
-        # imported here: loading the pool machinery adds about 2 MB to the
-        # peak RSS of a process that never forks
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, so the workers inherit the teacher, the windows and the
-        # mapping instead of receiving pickles; chainkd starts no threads
-        pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_adopt_work, initargs=work)
+    pool = blas_threads = None
     try:
+        if k > 1:
+            # imported here: loading the pool machinery adds about 2 MB to the
+            # peak RSS of a process that never forks
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # set before the fork, so the workers inherit the single thread
+            get_blas_threads, set_blas_threads = blas
+            blas_threads = get_blas_threads()
+            set_blas_threads(1)
+            # fork, so the workers inherit the teacher, the windows and the
+            # mapping instead of receiving pickles
+            pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_adopt_work, initargs=work)
         futures = [pool.submit(_score_share, share) for share in shares[1:]]
         _score_blocks(*work, shares[0])
         # in share order, so a failure raises what a serial pass would
@@ -298,6 +340,8 @@ def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillCon
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        if blas_threads is not None:
+            set_blas_threads(blas_threads)
     return out
 
 

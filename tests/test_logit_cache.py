@@ -99,3 +99,35 @@ def test_overflowing_teacher_raises_the_same_error(monkeypatch, cpus):
     assert str(info.value) == "operation 'layer_norm' produced non-finite values"
     # a worker's error arrives with its remote traceback as the cause
     assert (info.value.__cause__ is not None) == (cpus > 1)
+
+
+def test_every_process_scores_with_one_blas_thread(monkeypatch):
+    # k processes of multi-threaded BLAS on k CPUs busy-wait on each other;
+    # the pool holds OpenBLAS to one thread and gives the count back after
+    blas = K._openblas_threads()
+    teacher, stack = _teacher(4), _stack(4)
+    _cpus(monkeypatch, 3)
+    if blas is None:
+        # no OpenBLAS whose thread count can be set: the caller scores alone
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created without a way to pin BLAS threads")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        K._teacher_logit_cache(teacher, stack, CFG, eval_batch=EVAL_BATCH)
+        return
+    get_threads, set_threads = blas
+    score = K._score_blocks
+
+    def one_thread(*args):
+        assert get_threads() == 1
+        score(*args)
+
+    monkeypatch.setattr(K, "_score_blocks", one_thread)
+    before = get_threads()
+    set_threads(2)
+    try:
+        cache = K._teacher_logit_cache(teacher, stack, CFG, eval_batch=EVAL_BATCH)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert cache.tobytes() == _reference(teacher, stack).tobytes()
