@@ -18,12 +18,13 @@ order, so identical checkpoints serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .tensor import F32, F64, Tensor
+from .tensor import F32, F64, NonFiniteError, Tensor
 from .transformer import ModelConfig, ParamSet, validate_params
 
 MAGIC = b"CBDC"
@@ -51,6 +52,10 @@ class TruncatedDataError(CheckpointError):
 
 class ShapeMismatchError(CheckpointError):
     pass
+
+
+class CorruptDataError(CheckpointError):
+    """A header field or a payload holds a value that save never writes."""
 
 
 @dataclass
@@ -185,6 +190,8 @@ def _read_header(path: str) -> tuple[dict, int]:
             header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise TruncatedDataError(f"header is not valid JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise CorruptDataError(f"header is a {type(header).__name__}, not an object")
     for key in ("config", "meta", "tensors"):
         if key not in header:
             raise TruncatedDataError(f"header missing '{key}'")
@@ -192,39 +199,52 @@ def _read_header(path: str) -> tuple[dict, int]:
 
 
 def load(path: str) -> Checkpoint:
+    """Read a checkpoint, rejecting any header or payload that save would not
+    have written with a CheckpointError."""
     header, payload_start = _read_header(path)
     try:
         config = ModelConfig.from_dict(header["config"])
     except (TypeError, ValueError) as e:
         raise ShapeMismatchError(f"invalid config record: {e}") from e
-    meta = Meta.from_dict(header["meta"])
+    try:
+        meta = Meta.from_dict(header["meta"])
+    except (AttributeError, TypeError, ValueError) as e:
+        raise CorruptDataError(f"invalid meta record: {e}") from e
+    if not isinstance(header["tensors"], list):
+        raise CorruptDataError("'tensors' is not a list")
 
+    params: ParamSet = {}
+    end = 0  # payloads come in order and may not overlap
     with open(path, "rb") as fh:
-        fh.seek(0, 2)
-        file_len = fh.tell()
-        params: ParamSet = {}
+        file_len = fh.seek(0, 2)
         for entry in header["tensors"]:
-            tag = entry["dtype"]
-            if tag not in _TAG_TO_DTYPE:
-                raise ShapeMismatchError(f"tensor {entry['name']} has unknown dtype tag {tag!r}")
+            try:
+                name, tag, shape, offset, byte_len = (
+                    entry[key] for key in ("name", "dtype", "shape", "byte_offset", "byte_len"))
+            except (KeyError, TypeError) as e:
+                raise CorruptDataError(f"tensor entry {entry!r} lacks a field: {e}") from e
+            if not isinstance(name, str) or name in params:
+                raise CorruptDataError(f"tensor name {name!r} is not a new string")
+            if not isinstance(tag, str) or tag not in _TAG_TO_DTYPE:
+                raise ShapeMismatchError(f"tensor {name} has unknown dtype tag {tag!r}")
+            if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+                raise CorruptDataError(f"tensor {name}: shape {shape!r} is not a list of sizes")
+            if type(offset) is not int or offset < end:
+                raise CorruptDataError(f"tensor {name}: byte_offset {offset!r} is negative or overlaps")
             dtype = _TAG_TO_DTYPE[tag]
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            expected_len = count * dtype.itemsize
-            if entry["byte_len"] != expected_len:
-                raise ShapeMismatchError(
-                    f"tensor {entry['name']}: byte_len {entry['byte_len']} != shape {shape} x {dtype.itemsize}"
-                )
-            start = payload_start + int(entry["byte_offset"])
-            if start + expected_len > file_len:
-                raise TruncatedDataError(f"tensor {entry['name']} payload is truncated")
-            fh.seek(start)
-            buf = fh.read(expected_len)
-            if len(buf) < expected_len:
-                raise TruncatedDataError(f"tensor {entry['name']} payload is truncated")
-            arr = np.frombuffer(buf, dtype=dtype).reshape(shape)
+            expected_len = math.prod(shape) * dtype.itemsize
+            if byte_len != expected_len:
+                raise ShapeMismatchError(f"tensor {name}: byte_len {byte_len} != shape {shape} x {dtype.itemsize}")
+            end = offset + expected_len
+            if payload_start + end > file_len:
+                raise TruncatedDataError(f"tensor {name} payload is truncated")
+            fh.seek(payload_start + offset)
+            arr = np.frombuffer(fh.read(expected_len), dtype=dtype).reshape(shape)
             native = F32 if tag == "f32" else F64
-            params[entry["name"]] = Tensor(arr.astype(native), dtype=native)
+            try:
+                params[name] = Tensor(arr.astype(native), dtype=native)
+            except NonFiniteError as e:
+                raise CorruptDataError(f"tensor {name} holds non-finite values") from e
 
     ckpt = Checkpoint(config=config, params=params, meta=meta)
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -299,8 +300,6 @@ def cmd_eval(args) -> int:
     vocab = _vocab_for(args.tokenizer, ckpt.config.vocab_size, "tokenizer")
     docs = corpus.val_docs if args.split == "val" else corpus.train_docs
     ppl = E.perplexity(ckpt, docs, vocab, batch=args.batch, seq_len=args.seq_len)
-    import math
-
     report = E.EvalReport(
         name=args.name,
         curves=E.training_curves(ckpt).curves,
@@ -482,10 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CheckpointError, SurgeryError, ValueError) as e:
+    except (ConfigError, CheckpointError, SurgeryError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except DistillError as e:
@@ -494,9 +490,6 @@ def main(argv: list[str] | None = None) -> int:
     except E.EvalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EVAL
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

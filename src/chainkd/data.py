@@ -79,9 +79,12 @@ def load_text(path: str, split_ratio: float = 0.9, seed: int = 0) -> Corpus:
     return Corpus(documents=docs, split_ratio=split_ratio, seed=seed)
 
 
-def token_windows(docs: list[str], vocab: Vocabulary, seq_len: int) -> list[np.ndarray]:
-    """Each document becomes BOS + ids + EOS, cut into seq_len+1 windows;
-    the ragged tail window is PAD-filled."""
+def token_windows(docs: list[str], vocab: Vocabulary, seq_len: int) -> Batch:
+    """Each document becomes BOS + ids + EOS, cut into seq_len+1 windows with
+    the ragged tail PAD-filled, stacked as (tokens, targets, mask) columns;
+    the mask is 0 where the target is PAD."""
+    if seq_len < 2:
+        raise ValueError("seq_len must be >= 2")
     windows = []
     for doc in docs:
         ids = [vocab.bos] + encode(vocab, doc) + [vocab.eos]
@@ -89,48 +92,29 @@ def token_windows(docs: list[str], vocab: Vocabulary, seq_len: int) -> list[np.n
             chunk = ids[start : start + seq_len + 1]
             if len(chunk) < seq_len + 1:
                 chunk = chunk + [vocab.pad] * (seq_len + 1 - len(chunk))
-            windows.append(np.asarray(chunk, dtype=np.int64))
-    return windows
-
-
-def index_stream(n_windows: int, batch: int, seed: int):
-    """Endless stream of window-index batches: a fresh seeded permutation per
-    epoch, consecutive groups of `batch`, ragged tail dropped."""
-    if n_windows < batch:
-        raise ValueError(f"split yields no full batch of size {batch}")
-    epoch = 0
-    while True:
-        order = np.random.default_rng([seed, epoch]).permutation(n_windows)
-        for i in range(0, n_windows - batch + 1, batch):
-            yield order[i : i + batch]
-        epoch += 1
-
-
-def assemble(stack: np.ndarray, idx: np.ndarray, pad: int) -> Batch:
-    block = stack[idx]
-    tokens = block[:, :-1]
-    targets = block[:, 1:]
-    mask = (targets != pad).astype(np.float32)
-    return tokens, targets, mask
-
-
-def batch_stream(docs: list[str], vocab: Vocabulary, batch: int, seq_len: int, seed: int) -> Iterator[Batch]:
-    """Endless stream cycling epochs, reshuffled per epoch from the seed."""
-    if seq_len < 2:
-        raise ValueError("seq_len must be >= 2")
-    if not docs:
-        raise ValueError("empty split")
-    stack = np.stack(token_windows(docs, vocab, seq_len))
-    for idx in index_stream(len(stack), batch, seed):
-        yield assemble(stack, idx, vocab.pad)
-
-
-def eval_windows(docs: list[str], vocab: Vocabulary, batch: int, seq_len: int) -> Iterator[Batch]:
-    """Unshuffled pass over every window, for evaluation; the ragged final
-    batch is emitted rather than dropped."""
-    windows = token_windows(docs, vocab, seq_len)
+            windows.append(chunk)
     if not windows:
         raise ValueError("empty split")
-    stack = np.stack(windows)
-    for i in range(0, len(stack), batch):
-        yield assemble(stack, np.arange(i, min(i + batch, len(stack))), vocab.pad)
+    stack = np.asarray(windows, dtype=np.int64)
+    targets = stack[:, 1:]
+    return stack[:, :-1], targets, (targets != vocab.pad).astype(np.float32)
+
+
+def shuffled(columns: tuple[np.ndarray, ...], batch: int, seed: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Endless stream of row batches of every column: a fresh [seed, epoch]
+    permutation per epoch, consecutive groups of `batch`, ragged tail dropped."""
+    n = len(columns[0])
+    if n < batch:
+        raise ValueError(f"split yields no full batch of size {batch}")
+    for epoch in itertools.count():
+        order = np.random.default_rng([seed, epoch]).permutation(n)
+        for i in range(0, n - batch + 1, batch):
+            idx = order[i : i + batch]
+            yield tuple(column[idx] for column in columns)
+
+
+def in_order(columns: tuple[np.ndarray, ...], batch: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """One unshuffled pass over every row, for evaluation; the ragged final
+    batch is emitted rather than dropped."""
+    for i in range(0, len(columns[0]), batch):
+        yield tuple(column[i : i + batch] for column in columns)

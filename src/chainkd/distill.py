@@ -75,6 +75,12 @@ class DistillConfig:
             raise ValueError("lr and temperature must be positive")
         if self.sft_warm_epochs < 0:
             raise ValueError("sft_warm_epochs must be >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError("grad_clip must be None or positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistillConfig":
@@ -232,15 +238,15 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 # -- training loop ------------------------------------------------------------------
 
 
-def _score_blocks(teacher: Checkpoint, stack: np.ndarray, inv_temperature: np.float32, out: np.ndarray,
+def _score_blocks(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.float32, out: np.ndarray,
                   eval_batch: int, blocks: range) -> None:
     """Write the scaled teacher logits of windows [i, i + eval_batch) for
     every block start i into `out`."""
     with no_grad():
         for i in blocks:
-            tokens = stack[i : i + eval_batch, :-1]
-            logits = M.forward(teacher.config, teacher.params, tokens).data
-            np.multiply(logits, inv_temperature, out=out[i : i + len(tokens)])
+            block = tokens[i : i + eval_batch]
+            logits = M.forward(teacher.config, teacher.params, block).data
+            np.multiply(logits, inv_temperature, out=out[i : i + len(block)])
 
 
 _SHARE_WORK: tuple = ()
@@ -290,9 +296,9 @@ def _openblas_threads():
     return None
 
 
-def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillConfig,
+def _teacher_logit_cache(teacher: Checkpoint, tokens: np.ndarray, cfg: DistillConfig,
                          eval_batch: int = 32) -> np.ndarray:
-    """Temperature-scaled teacher logits for every training window.
+    """Temperature-scaled teacher logits for every row of the tokens column.
 
     The eval_batch-aligned blocks are split into one contiguous share per
     allowed CPU.  The caller scores the first share; forked workers score
@@ -305,17 +311,16 @@ def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillCon
     busy-wait on each other and score slower than one process alone.  Where
     the thread count cannot be set (a BLAS other than OpenBLAS), the caller
     scores every block itself."""
-    n, width = stack.shape
-    shape = (n, width - 1, teacher.config.vocab_size)
+    shape = (*tokens.shape, teacher.config.vocab_size)
     buf = mmap.mmap(-1, math.prod(shape) * 4)
     out = np.frombuffer(buf, dtype=np.float32).reshape(shape)
-    starts = range(0, n, eval_batch)
+    starts = range(0, len(tokens), eval_batch)
     k = min(_allowed_cpus(), len(starts))
     blas = _openblas_threads() if k > 1 else None
     if blas is None:
         k = 1
     shares = [starts[j * len(starts) // k : (j + 1) * len(starts) // k] for j in range(k)]
-    work = (teacher, stack, np.float32(1.0 / cfg.temperature), out, eval_batch)
+    work = (teacher, tokens, np.float32(1.0 / cfg.temperature), out, eval_batch)
     pool = blas_threads = None
     try:
         if k > 1:
@@ -328,7 +333,7 @@ def _teacher_logit_cache(teacher: Checkpoint, stack: np.ndarray, cfg: DistillCon
             get_blas_threads, set_blas_threads = blas
             blas_threads = get_blas_threads()
             set_blas_threads(1)
-            # fork, so the workers inherit the teacher, the windows and the
+            # fork, so the workers inherit the teacher, the tokens and the
             # mapping instead of receiving pickles
             pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_adopt_work, initargs=work)
@@ -418,7 +423,7 @@ def mean_nll(config: ModelConfig, params: M.ParamSet, batches) -> float:
 def eval_ce(config: ModelConfig, params: M.ParamSet, docs: list[str], vocab: Vocabulary,
             batch: int = 16, seq_len: int = 48) -> float:
     """mean_nll over every window of a split."""
-    return mean_nll(config, params, D.eval_windows(docs, vocab, batch, seq_len))
+    return mean_nll(config, params, D.in_order(D.token_windows(docs, vocab, seq_len), batch))
 
 
 def train_lm(
@@ -436,7 +441,7 @@ def train_lm(
     else:
         params = _trainable(M.init_random(config, cfg.seed))
         meta = Meta(name=name, seed=cfg.seed)
-    stream = D.batch_stream(corpus.train_docs, vocab, cfg.batch, cfg.seq_len, cfg.seed)
+    stream = D.shuffled(D.token_windows(corpus.train_docs, vocab, cfg.seq_len), cfg.batch, cfg.seed)
     params, losses = fit(config, params, islice(stream, cfg.steps), ce_loss, cfg)
     meta = meta.child(f"trained:ce steps={cfg.steps} seed={cfg.seed}", name=name,
                       step_count=meta.step_count + cfg.steps)
@@ -472,24 +477,18 @@ def distill_edge(
     losses: list[float] = []
     sft_losses: list[float] = []
     if cfg.steps > 0:
-        stack = np.stack(D.token_windows(corpus.train_docs, vocab, cfg.seq_len))
-
-        def draws(n: int):
-            return islice(D.index_stream(len(stack), cfg.batch, cfg.seed), n)
-
+        columns = D.token_windows(corpus.train_docs, vocab, cfg.seq_len)
         # SFT warm-up is the stream's first sft_warm_epochs epochs; KD then
         # draws the same stream again from epoch 0, on the same Adam state
         state = AdamState()
-        n_sft = cfg.sft_warm_epochs * (len(stack) // cfg.batch)
-        sft = (D.assemble(stack, idx, vocab.pad) for idx in draws(n_sft))
+        n_sft = cfg.sft_warm_epochs * (len(columns[0]) // cfg.batch)
+        sft = islice(D.shuffled(columns, cfg.batch, cfg.seed), n_sft)
         params, sft_losses = fit(student_config, params, sft, ce_loss, cfg, state)
-        if cfg.loss_kind == "ce":
-            loss = ce_loss
-            kd = (D.assemble(stack, idx, vocab.pad) for idx in draws(cfg.steps))
-        else:
+        loss = ce_loss
+        if cfg.loss_kind != "ce":
             # teacher logits depend only on the window, so score every window
-            # once up front instead of re-running the teacher each step
-            cache = _teacher_logit_cache(teacher, stack, cfg)
+            # once up front, as a fourth column, instead of each step
+            columns += (_teacher_logit_cache(teacher, columns[0], cfg),)
             kl = reverse_kl_loss if cfg.loss_kind == "reverse_kl" else forward_kl_loss
             inv_temperature = 1.0 / cfg.temperature
 
@@ -497,7 +496,7 @@ def distill_edge(
                 t_logits = Tensor(batch[3], dtype=batch[3].dtype.type)
                 return kl(logits * inv_temperature, t_logits, batch[2])
 
-            kd = ((*D.assemble(stack, idx, vocab.pad), cache[idx]) for idx in draws(cfg.steps))
+        kd = islice(D.shuffled(columns, cfg.batch, cfg.seed), cfg.steps)
         params, losses = fit(student_config, params, kd, loss, cfg, state, first_step=len(sft_losses) + 1)
 
     stage = (
@@ -630,19 +629,13 @@ def run_bridge(spec: BridgeSpec, source: Checkpoint, corpus: D.Corpus, cfg: Dist
         raise DistillError("corpus has no training documents for prompts")
     prompts = [docs[i % len(docs)] for i in range(spec.n_samples)]
     pairs = seqkd_generate(source, src_vocab, prompts, spec.gen_temperature, spec.gen_max_len, spec.seed)
-    tokens, targets, mask = _pair_windows(pairs, bridge_vocab, cfg.seq_len)
-    n = len(tokens)
-
-    def blocks():
-        return ((tokens[i : i + cfg.batch], targets[i : i + cfg.batch], mask[i : i + cfg.batch])
-                for i in range(0, n, cfg.batch))
-
+    columns = _pair_windows(pairs, bridge_vocab, cfg.seq_len)
     config = spec.bridge_config
     params = _trainable(M.init_random(config, cfg.seed))
-    ce_step0 = mean_nll(config, params, blocks())
-    draws = islice(D.index_stream(n, min(cfg.batch, n), cfg.seed), cfg.steps)
-    params, losses = fit(config, params, ((tokens[idx], targets[idx], mask[idx]) for idx in draws), ce_loss, cfg)
-    ce_final = mean_nll(config, params, blocks())
+    ce_step0 = mean_nll(config, params, D.in_order(columns, cfg.batch))
+    draws = D.shuffled(columns, min(cfg.batch, len(columns[0])), cfg.seed)
+    params, losses = fit(config, params, islice(draws, cfg.steps), ce_loss, cfg)
+    ce_final = mean_nll(config, params, D.in_order(columns, cfg.batch))
 
     stage = (
         f"bridged-from:{source.meta.name} tokenizers={spec.source_tokenizer}->{spec.bridge_tokenizer}"

@@ -18,7 +18,7 @@ import numpy as np
 from . import data as D
 from . import transformer as M
 from .checkpoint import Checkpoint
-from .distill import AdamState, DistillConfig, _trainable, ce_loss, eval_ce, fit
+from .distill import AdamState, DistillConfig, _trainable, ce_loss, eval_ce, fit, mean_nll
 from .surgery import interpolate
 from .tokenizers import Vocabulary
 from .transformer import ModelConfig
@@ -180,25 +180,25 @@ def training_curves(ckpt: Checkpoint, name: str = "training") -> EvalReport:
 
 def _train_with_val_curve(
     ckpt: Checkpoint,
-    corpus: D.Corpus,
-    vocab: Vocabulary,
+    train: D.Batch,
+    val: D.Batch,
     cfg: DistillConfig,
     eval_every: int,
 ) -> tuple[Curve, list[float]]:
-    """CE-train a copy of the checkpoint, recording the validation loss at
-    step 0, every `eval_every` steps and the last step, plus the per-step
-    training losses."""
+    """CE-train a copy of the checkpoint on the train windows, recording the
+    val windows' loss at step 0, every `eval_every` steps and the last step,
+    plus the per-step training losses."""
     config = ckpt.config
     params = _trainable(dict(ckpt.params))
-    val_curve: Curve = [(0, eval_ce(config, params, corpus.val_docs, vocab, cfg.batch, cfg.seq_len))]
+    val_curve: Curve = [(0, mean_nll(config, params, D.in_order(val, cfg.batch)))]
     train_losses: list[float] = []
     state = AdamState()
-    stream = D.batch_stream(corpus.train_docs, vocab, cfg.batch, cfg.seq_len, cfg.seed)
+    stream = D.shuffled(train, cfg.batch, cfg.seed)
     for done in range(0, cfg.steps, eval_every):
         chunk = min(eval_every, cfg.steps - done)
         params, losses = fit(config, params, islice(stream, chunk), ce_loss, cfg, state, first_step=done + 1)
         train_losses += losses
-        val_curve.append((done + chunk, eval_ce(config, params, corpus.val_docs, vocab, cfg.batch, cfg.seq_len)))
+        val_curve.append((done + chunk, mean_nll(config, params, D.in_order(val, cfg.batch))))
     return val_curve, train_losses
 
 
@@ -216,9 +216,11 @@ def compare_init(
         raise EvalError("compare_init requires identical model configs")
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+    train = D.token_windows(corpus.train_docs, vocab, cfg.seq_len)
+    val = D.token_windows(corpus.val_docs, vocab, cfg.seq_len)
     reports = []
     for name, ckpt in (("cbd", cbd), ("rand", rand)):
-        val_curve, train_losses = _train_with_val_curve(ckpt, corpus, vocab, cfg, eval_every)
+        val_curve, train_losses = _train_with_val_curve(ckpt, train, val, cfg, eval_every)
         tail = train_losses[-100:]
         metrics = {
             "step0_loss": val_curve[0][1],
@@ -253,11 +255,12 @@ def alpha_sweep(
     """Step-0 validation loss of the interpolated target per alpha."""
     if not alphas:
         raise EvalError("alpha_sweep needs at least one alpha")
+    val = D.token_windows(corpus.val_docs, vocab, min(seq_len, dst_config.max_seq_len))
     curves: dict[str, Curve] = {}
     losses = []
     for a in alphas:
         ckpt = interpolate(small, large, dst_config, a, mode=mode)
-        loss = eval_ce(ckpt.config, ckpt.params, corpus.val_docs, vocab, batch, min(seq_len, dst_config.max_seq_len))
+        loss = mean_nll(ckpt.config, ckpt.params, D.in_order(val, batch))
         curves[f"alpha={a:g}"] = [(0, loss)]
         losses.append((loss, a))
     best_loss, best_alpha = min(losses)

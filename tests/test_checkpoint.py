@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -8,6 +9,8 @@ from chainkd import transformer as M
 from chainkd.checkpoint import (
     BadMagicError,
     Checkpoint,
+    CheckpointError,
+    CorruptDataError,
     Meta,
     ShapeMismatchError,
     TruncatedDataError,
@@ -143,3 +146,58 @@ class TestCorruption:
         p.write_bytes(bytes(raw))
         with pytest.raises(ShapeMismatchError):
             load(str(p))
+
+
+def _rewrite_header(raw: bytearray, mutate) -> bytearray:
+    """The same file with mutate(header) applied to its parsed JSON header."""
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16 : 16 + hlen])
+    mutate(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :]
+
+
+def _set(path, value):
+    def mutate(header):
+        *keys, last = path
+        target = header
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return mutate
+
+
+def _nan_payload(raw: bytearray) -> bytearray:
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    entry = json.loads(raw[16 : 16 + hlen])["tensors"][0]
+    start = 16 + hlen + entry["byte_offset"]
+    raw[start : start + 4] = np.float32("nan").tobytes()
+    return raw
+
+
+# each mutation of a saved checkpoint, and the error load must raise for it
+MUTATIONS = {
+    "negative byte_offset": (
+        lambda raw: _rewrite_header(raw, _set(["tensors", 1, "byte_offset"], -8)), CorruptDataError),
+    "overlapping offsets": (lambda raw: _rewrite_header(
+        raw, lambda h: h["tensors"][1].update(byte_offset=h["tensors"][0]["byte_offset"] + 4)), CorruptDataError),
+    "duplicated tensor entry": (lambda raw: _rewrite_header(
+        raw, lambda h: h["tensors"].insert(1, dict(h["tensors"][0]))), CorruptDataError),
+    "shape entry 'x'": (lambda raw: _rewrite_header(raw, _set(["tensors", 0, "shape", 0], "x")), CorruptDataError),
+    "entry without dtype": (lambda raw: _rewrite_header(raw, lambda h: h["tensors"][0].pop("dtype")), CorruptDataError),
+    "unhashable dtype": (lambda raw: _rewrite_header(raw, _set(["tensors", 0, "dtype"], [1])), ShapeMismatchError),
+    "tensors is a string": (lambda raw: _rewrite_header(raw, _set(["tensors"], "zz")), CorruptDataError),
+    "meta.seed not a number": (lambda raw: _rewrite_header(raw, _set(["meta", "seed"], "abc")), CorruptDataError),
+    "NaN in a payload": (_nan_payload, CorruptDataError),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, mutation):
+    mutate, error = MUTATIONS[mutation]
+    p = tmp_path / "a.cbdc"
+    save(make_ckpt(0), str(p))
+    p.write_bytes(bytes(mutate(bytearray(p.read_bytes()))))
+    with pytest.raises(CheckpointError) as info:
+        load(str(p))
+    assert type(info.value) is error

@@ -79,6 +79,15 @@ class TestChainCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["chain", str(cfg_path)]) == 2
 
+    def test_negative_grad_clip_exit_2_named(self, tmp_path, capsys):
+        cfg = chain_config(tmp_path, tmp_path / "out")
+        cfg["edges"][1]["grad_clip"] = -1
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["chain", str(cfg_path)]) == 2
+        assert "grad_clip" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBridgedChain:
     def test_bridge_produces_anchor_zero(self, tmp_path):
@@ -149,6 +158,17 @@ class TestSurgeryCommands:
                      "--out", str(out)]) == 0
         assert "kept=[0]" in capsys.readouterr().out
         assert load(str(out)).config.n_layers == 1
+
+    def test_non_finite_payload_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "src.cbdc"
+        write_ckpt(src, MID, 7, "src")
+        raw = bytearray(src.read_bytes())
+        raw[-4:] = np.float32("nan").tobytes()  # the last value of the last tensor
+        src.write_bytes(bytes(raw))
+        assert main(["subset", "--in", str(src), "--target-config", json.dumps(SMALL),
+                     "--out", str(tmp_path / "x.cbdc")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
 
     def test_invalid_direction_exit_2(self, tmp_path):
         src = tmp_path / "src.cbdc"

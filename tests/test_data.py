@@ -51,9 +51,10 @@ class TestGenerators:
 
 
 def one_epoch(docs, batch, seq_len, seed, epoch=0):
-    """The batches batch_stream draws during one epoch."""
-    per_epoch = len(D.token_windows(docs, CHAR, seq_len)) // batch
-    stream = D.batch_stream(docs, CHAR, batch, seq_len, seed)
+    """The batches `shuffled` draws from a split's windows during one epoch."""
+    columns = D.token_windows(docs, CHAR, seq_len)
+    per_epoch = len(columns[0]) // batch
+    stream = D.shuffled(columns, batch, seed)
     return list(itertools.islice(stream, epoch * per_epoch, (epoch + 1) * per_epoch))
 
 
@@ -104,9 +105,11 @@ class TestBatches:
         b = one_epoch(corpus.train_docs, 2, 10, seed=5, epoch=1)
         assert any(x[0].tobytes() != y[0].tobytes() for x, y in zip(a, b))
 
-    def test_index_stream_epochs_are_seeded_permutations(self):
-        stream = D.index_stream(10, 3, seed=4)
-        epochs = [np.concatenate([next(stream) for _ in range(3)]) for _ in range(2)]
+    def test_shuffled_epochs_are_seeded_permutations(self):
+        stream = D.shuffled((np.arange(10), np.arange(10, 20)), 3, seed=4)
+        batches = [next(stream) for _ in range(6)]
+        assert all(np.array_equal(a + 10, b) for a, b in batches)  # columns share one row order
+        epochs = [np.concatenate([a for a, _ in batches[i : i + 3]]) for i in (0, 3)]
         for epoch, drawn in enumerate(epochs):
             order = np.random.default_rng([4, epoch]).permutation(10)
             assert drawn.tolist() == order[:9].tolist()  # the ragged tail is dropped
@@ -114,17 +117,26 @@ class TestBatches:
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            next(D.batch_stream([], CHAR, 2, 8, seed=0))
+            D.token_windows([], CHAR, 8)
 
     def test_seq_len_validated(self):
         with pytest.raises(ValueError):
-            next(D.batch_stream(["ab"], CHAR, 1, 1, seed=0))
+            D.token_windows(["ab"], CHAR, 1)
 
     def test_stream_cycles(self):
         corpus = D.Corpus(["abcabc", "defdef"], split_ratio=1.0)
-        stream = D.batch_stream(corpus.train_docs, CHAR, 1, 4, seed=0)
+        stream = D.shuffled(D.token_windows(corpus.train_docs, CHAR, 4), 1, seed=0)
         taken = [next(stream) for _ in range(7)]
         assert len(taken) == 7
+
+    def test_in_order_keeps_every_row_and_the_ragged_tail(self):
+        columns = D.token_windows(["abcdefghij", "klmnop", "q"], CHAR, 4)
+        n = len(columns[0])
+        assert n == 6
+        blocks = list(D.in_order(columns, 4))
+        assert [len(tokens) for tokens, _, _ in blocks] == [4, 2]
+        for column, joined in zip(columns, zip(*blocks)):
+            assert np.concatenate(joined).tobytes() == column.tobytes()
 
 
 class TestIngestion:

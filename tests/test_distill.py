@@ -193,6 +193,24 @@ class TestDistillEdge:
         with pytest.raises(ValueError, match="batch must be >= 1 and seq_len >= 2"):
             DistillConfig(steps=1, batch=batch, seq_len=seq_len)
 
+    @pytest.mark.parametrize("field,value", [
+        ("grad_clip", -1.0),  # a negative scale: training runs uphill
+        ("grad_clip", 0.0),  # zeroes every gradient
+        ("beta1", 1.0),  # Adam's bias correction divides by zero
+        ("beta2", 1.0),
+        ("beta1", -0.1),
+        ("beta2", 1.5),
+        ("eps", 0.0),  # a zero second moment divides by zero at step 1
+        ("eps", -1e-8),
+    ])
+    def test_adam_and_clip_settings_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DistillConfig(steps=1, **{field: value})
+
+    def test_adam_and_clip_boundaries_accepted(self):
+        DistillConfig(steps=1, beta1=0.0, beta2=0.0, eps=1e-30, grad_clip=None)
+        DistillConfig(steps=1, grad_clip=1e-6)
+
     def test_vocab_mismatch_rejected(self):
         teacher = ckpt(cfg(2, 2, 16, 32, vocab=260), 0)
         with pytest.raises(DistillError):

@@ -21,6 +21,7 @@ SAMPLES = [
     checkpoint.UnsupportedVersionError("version 9"),
     checkpoint.TruncatedDataError("short"),
     checkpoint.ShapeMismatchError("shape"),
+    checkpoint.CorruptDataError("overlap"),
     surgery.SurgeryError("no plan"),
     evaluate.EvalError("no curve"),
     distill.DistillError("edge failed"),

@@ -251,6 +251,26 @@ class TestProtocols:
         assert list(report.curves) == ["alpha=0.5"]
         assert report.metrics["argmin_alpha"] == 0.5
 
+    def test_protocols_window_each_split_once(self, monkeypatch):
+        calls = []
+        token_windows = D.token_windows
+
+        def counted(docs, *args):
+            calls.append(docs)
+            return token_windows(docs, *args)
+
+        monkeypatch.setattr(D, "token_windows", counted)
+        c = corpus()
+        small = ckpt(cfg(1, 1, 8, 16), 1, "s")
+        large = ckpt(cfg(2, 2, 16, 32), 2, "l")
+        alpha_sweep(small, large, cfg(1, 1, 8, 16), [i / 8 for i in range(9)], c, CHAR, batch=8, seq_len=32)
+        assert calls == [c.val_docs]
+        calls.clear()
+        config = cfg(1, 1, 8, 16)
+        compare_init(ckpt(config, 1), ckpt(config, 2), c, CHAR,
+                     DistillConfig(steps=4, seq_len=32, sft_warm_epochs=0), eval_every=2)
+        assert calls == [c.train_docs, c.val_docs]  # both arms, three val evals each
+
     def test_training_curves_export(self):
         c = corpus()
         trained = train_lm(cfg(1, 1, 8, 16), c, CHAR, DistillConfig(steps=15, seq_len=32, seed=2, sft_warm_epochs=0))

@@ -24,21 +24,22 @@ N_WINDOWS = 45  # six blocks, the last one ragged (5 windows)
 CFG = DistillConfig(steps=1, batch=4, seq_len=12, temperature=2.0)
 
 
-def _stack(seed=0, n=N_WINDOWS):
-    return np.random.default_rng(seed).integers(1, 100, size=(n, CFG.seq_len + 1))
+def _tokens(seed=0, n=N_WINDOWS):
+    # the tokens column of a window stack, a view as token_windows returns it
+    return np.random.default_rng(seed).integers(1, 100, size=(n, CFG.seq_len + 1))[:, :-1]
 
 
 def _teacher(seed=0):
     return Checkpoint(TEACHER, M.init_random(TEACHER, seed), Meta(name="teacher", seed=seed))
 
 
-def _reference(teacher, stack):
+def _reference(teacher, tokens):
     # one forward per block, scaled afterwards: the cache's original serial form
-    out = np.empty((len(stack), stack.shape[1] - 1, TEACHER.vocab_size), dtype=np.float32)
+    out = np.empty((*tokens.shape, TEACHER.vocab_size), dtype=np.float32)
     with no_grad():
-        for i in range(0, len(stack), EVAL_BATCH):
-            tokens = stack[i : i + EVAL_BATCH, :-1]
-            out[i : i + len(tokens)] = M.forward(TEACHER, teacher.params, tokens).data
+        for i in range(0, len(tokens), EVAL_BATCH):
+            block = tokens[i : i + EVAL_BATCH]
+            out[i : i + len(block)] = M.forward(TEACHER, teacher.params, block).data
     out *= np.float32(1.0 / CFG.temperature)
     return out
 
@@ -49,21 +50,21 @@ def _cpus(monkeypatch, n):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_cache_bytes_do_not_depend_on_cpu_count(monkeypatch, cpus):
-    teacher, stack = _teacher(), _stack()
-    expected = _reference(teacher, stack).tobytes()
-    before = stack.tobytes()
+    teacher, tokens = _teacher(), _tokens()
+    expected = _reference(teacher, tokens).tobytes()
+    before = tokens.tobytes()
     _cpus(monkeypatch, cpus)
-    cache = K._teacher_logit_cache(teacher, stack, CFG, eval_batch=EVAL_BATCH)
+    cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
     assert cache.dtype == np.float32 and cache.shape == (N_WINDOWS, CFG.seq_len, TEACHER.vocab_size)
     assert cache.tobytes() == expected
-    assert stack.tobytes() == before
+    assert tokens.tobytes() == before
 
 
 def test_fewer_windows_than_one_block(monkeypatch):
-    teacher, stack = _teacher(1), _stack(1, n=3)
+    teacher, tokens = _teacher(1), _tokens(1, n=3)
     _cpus(monkeypatch, 4)
-    cache = K._teacher_logit_cache(teacher, stack, CFG, eval_batch=EVAL_BATCH)
-    assert cache.tobytes() == _reference(teacher, stack).tobytes()
+    cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
+    assert cache.tobytes() == _reference(teacher, tokens).tobytes()
 
 
 def test_no_affinity_call_scores_serially_without_a_pool(monkeypatch):
@@ -73,9 +74,9 @@ def test_no_affinity_call_scores_serially_without_a_pool(monkeypatch):
         raise AssertionError("a pool was created on the serial path")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    teacher, stack = _teacher(2), _stack(2)
-    cache = K._teacher_logit_cache(teacher, stack, CFG, eval_batch=EVAL_BATCH)
-    assert cache.tobytes() == _reference(teacher, stack).tobytes()
+    teacher, tokens = _teacher(2), _tokens(2)
+    cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
+    assert cache.tobytes() == _reference(teacher, tokens).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -88,12 +89,12 @@ def test_overflowing_teacher_raises_the_same_error(monkeypatch, cpus):
     table = params["embed.tok"].data.copy()
     table[7] = 3e38
     params["embed.tok"] = Tensor(table)
-    stack = _stack(3)
-    stack[stack == 7] = 8
-    stack[2 * EVAL_BATCH + 2, 4] = 7
+    tokens = _tokens(3)
+    tokens[tokens == 7] = 8
+    tokens[2 * EVAL_BATCH + 2, 4] = 7
     _cpus(monkeypatch, cpus)
     with pytest.raises(NonFiniteError) as info:
-        K._teacher_logit_cache(Checkpoint(config, params, Meta(name="t", seed=3)), stack, CFG,
+        K._teacher_logit_cache(Checkpoint(config, params, Meta(name="t", seed=3)), tokens, CFG,
                                eval_batch=EVAL_BATCH)
     assert info.value.op == "layer_norm"
     assert str(info.value) == "operation 'layer_norm' produced non-finite values"
@@ -105,7 +106,7 @@ def test_every_process_scores_with_one_blas_thread(monkeypatch):
     # k processes of multi-threaded BLAS on k CPUs busy-wait on each other;
     # the pool holds OpenBLAS to one thread and gives the count back after
     blas = K._openblas_threads()
-    teacher, stack = _teacher(4), _stack(4)
+    teacher, tokens = _teacher(4), _tokens(4)
     _cpus(monkeypatch, 3)
     if blas is None:
         # no OpenBLAS whose thread count can be set: the caller scores alone
@@ -113,7 +114,7 @@ def test_every_process_scores_with_one_blas_thread(monkeypatch):
             raise AssertionError("a pool was created without a way to pin BLAS threads")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        K._teacher_logit_cache(teacher, stack, CFG, eval_batch=EVAL_BATCH)
+        K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
         return
     get_threads, set_threads = blas
     score = K._score_blocks
@@ -126,8 +127,8 @@ def test_every_process_scores_with_one_blas_thread(monkeypatch):
     before = get_threads()
     set_threads(2)
     try:
-        cache = K._teacher_logit_cache(teacher, stack, CFG, eval_batch=EVAL_BATCH)
+        cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
         assert get_threads() == 2
     finally:
         set_threads(before)
-    assert cache.tobytes() == _reference(teacher, stack).tobytes()
+    assert cache.tobytes() == _reference(teacher, tokens).tobytes()
