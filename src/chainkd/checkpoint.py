@@ -198,10 +198,9 @@ def _read_header(path: str) -> tuple[dict, int]:
     return header, 16 + hlen
 
 
-def load(path: str) -> Checkpoint:
-    """Read a checkpoint, rejecting any header or payload that save would not
-    have written with a CheckpointError."""
-    header, payload_start = _read_header(path)
+def parse_records(header: dict) -> tuple[ModelConfig, Meta]:
+    """The config and meta records of a header from load_header, or the
+    CheckpointError that says why save would not have written them."""
     try:
         config = ModelConfig.from_dict(header["config"])
     except (TypeError, ValueError) as e:
@@ -210,6 +209,14 @@ def load(path: str) -> Checkpoint:
         meta = Meta.from_dict(header["meta"])
     except (AttributeError, TypeError, ValueError) as e:
         raise CorruptDataError(f"invalid meta record: {e}") from e
+    return config, meta
+
+
+def load(path: str) -> Checkpoint:
+    """Read a checkpoint, rejecting any header or payload that save would not
+    have written with a CheckpointError."""
+    header, payload_start = _read_header(path)
+    config, meta = parse_records(header)
     if not isinstance(header["tensors"], list):
         raise CorruptDataError("'tensors' is not a list")
 

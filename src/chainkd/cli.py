@@ -19,7 +19,7 @@ import numpy as np
 from . import data as D
 from . import evaluate as E
 from . import transformer as M
-from .checkpoint import CheckpointError, load, load_header, save
+from .checkpoint import CheckpointError, load, load_header, parse_records, save
 from .distill import (
     BridgeSpec,
     ChainSpec,
@@ -359,13 +359,12 @@ def cmd_sweep_alpha(args) -> int:
 
 def cmd_inspect(args) -> int:
     header = load_header(args.checkpoint)
-    config = ModelConfig.from_dict(header["config"])
-    meta = header["meta"]
+    config, meta = parse_records(header)
     print(f"config: {json.dumps(header['config'], sort_keys=True)}")
     print(f"params: {M.count_params(config)}")
-    print(f"name: {meta.get('name', '')}  seed: {meta.get('seed', 0)}  steps: {meta.get('step_count', 0)}")
+    print(f"name: {meta.name}  seed: {meta.seed}  steps: {meta.step_count}")
     print("lineage:")
-    for entry in meta.get("lineage", []):
+    for entry in meta.lineage:
         print(f"  - {entry}")
     return EXIT_OK
 

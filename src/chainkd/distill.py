@@ -149,27 +149,17 @@ def _check_logit_pair(student: Tensor, teacher: Tensor, mask: np.ndarray) -> np.
     return mask
 
 
-def _masked_mean(per_pos: Tensor, mask: np.ndarray) -> Tensor:
-    return (per_pos * mask).sum() * (1.0 / float(mask.sum()))
-
-
 def reverse_kl_loss(student_logits: Tensor, teacher_logits: Tensor, mask: np.ndarray) -> Tensor:
     """Mean over unmasked positions of sum_v S_v (ln S_v - ln T_v); the
     teacher side is detached so gradient reaches the student only."""
     mask = _check_logit_pair(student_logits, teacher_logits, mask)
-    s_log = T.log_softmax(student_logits)
-    t_log = T.log_softmax(teacher_logits.detach())
-    per_pos = (T.exp(s_log) * (s_log - t_log)).sum(axis=-1)
-    return _masked_mean(per_pos, mask)
+    return T.masked_kl(student_logits, T._log_softmax(teacher_logits.data), mask, reverse=True)
 
 
 def forward_kl_loss(student_logits: Tensor, teacher_logits: Tensor, mask: np.ndarray) -> Tensor:
     """Mean over unmasked positions of sum_v T_v (ln T_v - ln S_v)."""
     mask = _check_logit_pair(student_logits, teacher_logits, mask)
-    s_log = T.log_softmax(student_logits)
-    t_log = T.log_softmax(teacher_logits.detach())
-    per_pos = (T.exp(t_log) * (t_log - s_log)).sum(axis=-1)
-    return _masked_mean(per_pos, mask)
+    return T.masked_kl(student_logits, T._log_softmax(teacher_logits.data), mask, reverse=False)
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -240,13 +230,14 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 
 def _score_blocks(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.float32, out: np.ndarray,
                   eval_batch: int, blocks: range) -> None:
-    """Write the scaled teacher logits of windows [i, i + eval_batch) for
-    every block start i into `out`."""
+    """Write the teacher log-probs at the temperature, log_softmax(logits / T),
+    of windows [i, i + eval_batch) for every block start i into `out`."""
     with no_grad():
         for i in blocks:
             block = tokens[i : i + eval_batch]
             logits = M.forward(teacher.config, teacher.params, block).data
-            np.multiply(logits, inv_temperature, out=out[i : i + len(block)])
+            dst = np.multiply(logits, inv_temperature, out=out[i : i + len(block)])
+            T._log_softmax(dst, out=dst)
 
 
 _SHARE_WORK: tuple = ()
@@ -298,7 +289,7 @@ def _openblas_threads():
 
 def _teacher_logit_cache(teacher: Checkpoint, tokens: np.ndarray, cfg: DistillConfig,
                          eval_batch: int = 32) -> np.ndarray:
-    """Temperature-scaled teacher logits for every row of the tokens column.
+    """Temperature-scaled teacher log-probs for every row of the tokens column.
 
     The eval_batch-aligned blocks are split into one contiguous share per
     allowed CPU.  The caller scores the first share; forked workers score
@@ -411,9 +402,8 @@ def mean_nll(config: ModelConfig, params: M.ParamSet, batches) -> float:
     count = 0.0
     with no_grad():
         for tokens, targets, mask in batches:
-            logp = T.log_softmax(M.forward(config, params, tokens))
-            nll = -T.gather_last(logp, targets)
-            total += float((nll.data * mask).sum())
+            nll, _ = T._nll_rows(M.forward(config, params, tokens).data, targets)
+            total += float((nll * mask).sum())
             count += float(mask.sum())
     if count == 0.0:
         raise DistillError("evaluation split has no unmasked positions")
@@ -486,15 +476,14 @@ def distill_edge(
         params, sft_losses = fit(student_config, params, sft, ce_loss, cfg, state)
         loss = ce_loss
         if cfg.loss_kind != "ce":
-            # teacher logits depend only on the window, so score every window
-            # once up front, as a fourth column, instead of each step
+            # teacher log-probs depend only on the window, so score every
+            # window once up front, as a fourth column, instead of each step
             columns += (_teacher_logit_cache(teacher, columns[0], cfg),)
-            kl = reverse_kl_loss if cfg.loss_kind == "reverse_kl" else forward_kl_loss
+            reverse = cfg.loss_kind == "reverse_kl"
             inv_temperature = 1.0 / cfg.temperature
 
             def loss(logits: Tensor, batch: tuple) -> Tensor:
-                t_logits = Tensor(batch[3], dtype=batch[3].dtype.type)
-                return kl(logits * inv_temperature, t_logits, batch[2])
+                return T.masked_kl(logits * inv_temperature, batch[3], batch[2], reverse)
 
         kd = islice(D.shuffled(columns, cfg.batch, cfg.seed), cfg.steps)
         params, losses = fit(student_config, params, kd, loss, cfg, state, first_step=len(sft_losses) + 1)

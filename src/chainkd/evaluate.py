@@ -71,23 +71,6 @@ class EvalReport:
         return "\n".join(parts)
 
 
-def read_report(csv_path: str, json_path: str) -> EvalReport:
-    curves: dict[str, Curve] = {}
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            curves.setdefault(row["run"], []).append((int(row["step"]), float(row["loss"])))
-    with open(json_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return EvalReport(
-        name=payload["name"],
-        curves=curves,
-        metrics=payload["metrics"],
-        steps_to_target=payload["steps_to_target"],
-        speedup=payload["speedup"],
-        provenance=payload["provenance"],
-    )
-
-
 # -- scalar metrics -----------------------------------------------------------------
 
 
@@ -250,16 +233,16 @@ def alpha_sweep(
     vocab: Vocabulary,
     batch: int = 16,
     seq_len: int = 48,
-    mode: str = "copy",
 ) -> EvalReport:
-    """Step-0 validation loss of the interpolated target per alpha."""
+    """Step-0 validation loss of the interpolated target per alpha (the small
+    model expanded in copy mode)."""
     if not alphas:
         raise EvalError("alpha_sweep needs at least one alpha")
     val = D.token_windows(corpus.val_docs, vocab, min(seq_len, dst_config.max_seq_len))
     curves: dict[str, Curve] = {}
     losses = []
     for a in alphas:
-        ckpt = interpolate(small, large, dst_config, a, mode=mode)
+        ckpt = interpolate(small, large, dst_config, a)
         loss = mean_nll(ckpt.config, ckpt.params, D.in_order(val, batch))
         curves[f"alpha={a:g}"] = [(0, loss)]
         losses.append((loss, a))

@@ -68,14 +68,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), dtype=dtype, requires_grad=self.requires_grad)
-
-    def detach(self) -> "Tensor":
-        return _wrap(self.data, False)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -88,33 +82,13 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def transpose(self, axes):
         return transpose(self, axes)
@@ -263,18 +237,6 @@ def add(a, b) -> Tensor:
 
 
 @_quiet
-def sub(a, b) -> Tensor:
-    anchor = a if isinstance(a, Tensor) else b
-    a = _coerce(a, anchor)
-    b = _coerce(b, anchor)
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _emit("sub", (a, b), a.data - b.data, backward)
-
-
-@_quiet
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a, b = b, a
@@ -284,16 +246,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _emit("mul", (a, b), a.data * b.data, backward)
-
-
-@_quiet
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def backward(g):
-        return (g * y,)
-
-    return _emit("exp", (x,), y, backward)
 
 
 @_quiet
@@ -327,16 +279,6 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 @_quiet
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        return (g.reshape(x.shape),)
-
-    return _emit("reshape", (x,), x.data.reshape(shape), backward)
-
-
-@_quiet
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inv = [0] * len(axes)
@@ -355,36 +297,23 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 @_quiet
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Stacked rows @ a 2D matrix, as one flat GEMM."""
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise TensorError("matmul expects two tensors")
     if a.dtype != b.dtype:
         raise TensorError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise TensorError("matmul requires rank >= 2 operands")
-    if a.shape[-1] != b.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise TensorError("matmul takes a rank >= 2 operand @ a 2D matrix")
+    if a.shape[-1] != b.shape[0]:
         raise TensorError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-    # stacked rows @ 2D weight is the common case; one flat GEMM beats the
-    # batched loop, and the weight gradient needs no unbroadcast sum
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        lead = a.shape[:-1]
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out = (a2 @ b.data).reshape(lead + (b.shape[-1],))
-
-        def backward(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.shape)
-            gb = a2.T @ g2
-            return ga, gb
-
-        return _emit("matmul", (a, b), out, backward)
+    a2 = a.data.reshape(-1, a.shape[-1])
+    out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[-1],))
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
-    return _emit("matmul", (a, b), np.matmul(a.data, b.data), backward)
+    return _emit("matmul", (a, b), out, backward)
 
 
 @_quiet
@@ -442,37 +371,6 @@ def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 # -- neural-net ops -----------------------------------------------------------------
-
-
-@_quiet
-def softmax(x: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilised by max subtraction."""
-    m = x.data.max(axis=-1, keepdims=True)
-    y = np.subtract(x.data, m, out=np.empty_like(x.data))
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        gy = np.multiply(g, y, out=np.empty_like(y))
-        np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
-        gy *= y
-        return (gy,)
-
-    return _emit("softmax", (x,), y, backward)
-
-
-@_quiet
-def log_softmax(x: Tensor) -> Tensor:
-    m = x.data.max(axis=-1, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
-
-    def backward(g):
-        p = np.exp(y)
-        return (g - p * g.sum(axis=-1, keepdims=True),)
-
-    return _emit("log_softmax", (x,), y, backward)
 
 
 @_quiet
@@ -542,6 +440,160 @@ def gelu(x: Tensor) -> Tensor:
         return (dy,)
 
     return _emit("gelu", (x,), y, backward)
+
+
+# -- fused attention and loss ops ----------------------------------------------------
+#
+# Each op below is one tape entry for what a chain of generic ops computes.
+# Its forward and backward must keep that chain's numpy operations on the
+# same array layouts (tests/test_tensor.py holds the chains as frozen
+# references), because the pinned pipeline hashes depend on those bytes.
+
+# Finite stand-in for -inf in the causal mask; exp() underflows to exactly 0,
+# so future positions are bitwise invisible while every value stays finite.
+MASK_VALUE = -1e9
+
+
+@functools.cache
+def _causal_mask(seq: int, dtype: np.dtype) -> np.ndarray:
+    mask = np.zeros((seq, seq), dtype=dtype)
+    mask[np.triu_indices(seq, k=1)] = MASK_VALUE
+    mask.setflags(write=False)
+    return mask
+
+
+def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis, stabilised by max subtraction."""
+    y = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient through softmax of its output y: y * (g - rowsum(g * y))."""
+    gy = np.multiply(g, y)
+    np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+    gy *= y
+    return gy
+
+
+def _log_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax along the last axis (in place when out is x)."""
+    y = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    y -= np.log(np.exp(y).sum(axis=-1, keepdims=True))
+    return y
+
+
+def _log_softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient through log-softmax of the probabilities p, in place in g."""
+    g -= p * g.sum(axis=-1, keepdims=True)
+    return g
+
+
+def _nll_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(per-position -log softmax(logits)[target], the log-probs), untaped."""
+    logp = _log_softmax(logits)
+    return -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0], logp
+
+
+@_quiet
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention over [batch, seq, n_heads * head_dim]
+    projections: per head softmax(q k^T / sqrt(head_dim) + mask) v, heads
+    merged back.  The backward takes the score gradient as
+    dS = P * (dP - rowsum(dP * P)) (FlashAttention, arXiv:2205.14135)."""
+    if (q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads
+            or k.dtype != q.dtype or v.dtype != q.dtype):
+        raise TensorError(f"attention needs alike [batch, seq, heads * dim] q, k, v: {q.shape}, {k.shape}, {v.shape}")
+    b, s, inner = q.shape
+    heads = (b, s, n_heads, inner // n_heads)
+
+    def split(x):  # [b, s, inner] -> [b, nh, s, hd]
+        return np.ascontiguousarray(x.reshape(heads).transpose(0, 2, 1, 3))
+
+    def merge(x):  # [b, nh, s, hd] -> [b, s, inner]
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, s, inner)
+
+    qh, vh = split(q.data), split(v.data)
+    kt = np.ascontiguousarray(k.data.reshape(heads).transpose(0, 2, 3, 1))  # [b, nh, hd, s]
+    scale = np.asarray(1.0 / math.sqrt(heads[-1]), dtype=q.dtype)
+    p = np.matmul(qh, kt)
+    p *= scale
+    p += _causal_mask(s, q.dtype)
+    _softmax(p, out=p)
+
+    def backward(g):
+        gh = split(g)
+        dp = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        dv = np.matmul(np.swapaxes(p, -1, -2), gh)
+        ds = _softmax_backward(dp, p)
+        ds *= scale
+        dq = np.matmul(ds, np.swapaxes(kt, -1, -2))
+        dk = np.matmul(np.swapaxes(qh, -1, -2), ds)  # [b, nh, hd, s]
+        return merge(dq), np.ascontiguousarray(dk.transpose(0, 3, 1, 2)).reshape(b, s, inner), merge(dv)
+
+    return _emit("causal_attention", (q, k, v), merge(np.matmul(p, vh)), backward)
+
+
+def _mask_weights(mask, like: Tensor, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(mask as like's dtype, 1 / its sum as a 0-d array of that dtype)."""
+    mask = np.asarray(mask, dtype=like.dtype)
+    if mask.shape != rows:
+        raise TensorError(f"mask shape {mask.shape} != {rows}")
+    total = float(mask.sum())
+    if total == 0.0:
+        raise TensorError("mask excludes every position")
+    return mask, np.asarray(1.0 / total, dtype=like.dtype)
+
+
+@_quiet
+def masked_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[target] over the unmasked positions."""
+    targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise TensorError(f"targets shape {targets.shape} != {logits.shape[:-1]}")
+    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[-1]):
+        raise TensorError("target index out of range")
+    mask, inv = _mask_weights(mask, logits, targets.shape)
+    nll, logp = _nll_rows(logits.data, targets)
+
+    def backward(g):
+        gx = np.zeros(logits.shape, dtype=logits.dtype)
+        np.put_along_axis(gx, targets[..., None], -((g * inv) * mask)[..., None], axis=-1)
+        return (_log_softmax_backward(gx, np.exp(logp)),)
+
+    return _emit("masked_nll", (logits,), np.asarray((nll * mask).sum() * inv), backward)
+
+
+@_quiet
+def masked_kl(student_logits: Tensor, teacher_logp: np.ndarray, mask: np.ndarray, reverse: bool) -> Tensor:
+    """Mean over unmasked positions of KL(S || T) when `reverse`, else of
+    KL(T || S), where S = softmax(student_logits) and T the distribution
+    whose log-probs are `teacher_logp`.  Gradient reaches the student only;
+    the reverse form is MiniLLM's (arXiv:2306.08543)."""
+    teacher_logp = np.asarray(teacher_logp)
+    if teacher_logp.shape != student_logits.shape or teacher_logp.dtype != student_logits.dtype:
+        raise TensorError(f"teacher log-probs {teacher_logp.shape} {teacher_logp.dtype} do not match "
+                          f"the student logits {student_logits.shape} {student_logits.dtype}")
+    mask, inv = _mask_weights(mask, student_logits, student_logits.shape[:-1])
+    s_log = _log_softmax(student_logits.data)
+    if reverse:
+        p, d = np.exp(s_log), s_log - teacher_logp
+    else:
+        p, d = np.exp(teacher_logp), teacher_logp - s_log
+
+    def backward(g):
+        gp = ((g * inv) * mask)[..., None]
+        gs = gp * p
+        if reverse:
+            gs += (gp * d) * p
+            return (_log_softmax_backward(gs, p),)
+        np.negative(gs, out=gs)
+        return (_log_softmax_backward(gs, np.exp(s_log)),)
+
+    per_pos = (p * d).sum(axis=-1)
+    return _emit("masked_kl", (student_logits,), np.asarray((per_pos * mask).sum() * inv), backward)
 
 
 # -- differentiation helpers ---------------------------------------------------------

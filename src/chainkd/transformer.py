@@ -9,7 +9,6 @@ function-preserving head padding possible at a fixed d_model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -19,10 +18,6 @@ from .tensor import F32, F64, Tensor, TensorError, no_grad
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
-
-# Finite stand-in for -inf in the causal mask; exp() underflows to exactly 0,
-# so future positions are bitwise invisible while every value stays finite.
-MASK_VALUE = -1e9
 
 ParamSet = dict[str, Tensor]
 
@@ -132,27 +127,16 @@ def validate_params(config: ModelConfig, params: ParamSet) -> None:
             raise TensorError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
 
 
-def _causal_mask(seq: int, dtype) -> np.ndarray:
-    mask = np.zeros((seq, seq), dtype=dtype)
-    mask[np.triu_indices(seq, k=1)] = MASK_VALUE
-    return mask
-
-
 def forward(config: ModelConfig, params: ParamSet, tokens: np.ndarray) -> Tensor:
     """Logits [batch, seq, vocab] for integer tokens [batch, seq]."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise TensorError(f"tokens must be [batch, seq], got shape {tokens.shape}")
-    b, s = tokens.shape
+    s = tokens.shape[1]
     if s > config.max_seq_len:
         raise TensorError(f"sequence length {s} exceeds max_seq_len {config.max_seq_len}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size):
         raise TensorError(f"token id out of range [0, {config.vocab_size})")
-
-    dtype = params["embed.tok"].dtype
-    nh, hd = config.n_heads, config.head_dim
-    scale = 1.0 / math.sqrt(hd)
-    mask = _causal_mask(s, dtype)
 
     x = T.embedding(params["embed.tok"], tokens) + T.embedding(params["embed.pos"], np.arange(s))
     for i in range(config.n_layers):
@@ -161,14 +145,7 @@ def forward(config: ModelConfig, params: ParamSet, tokens: np.ndarray) -> Tensor
         q = T.linear(h, params[p + "attn.wq"], params[p + "attn.bq"])
         k = T.linear(h, params[p + "attn.wk"], params[p + "attn.bk"])
         v = T.linear(h, params[p + "attn.wv"], params[p + "attn.bv"])
-        # [b, s, inner] -> [b, nh, s, hd]
-        q = q.reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
-        k = k.reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
-        v = v.reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
-        scores = T.matmul(q, k.transpose((0, 1, 3, 2))) * scale + mask
-        att = T.softmax(scores)
-        y = T.matmul(att, v)  # [b, nh, s, hd]
-        y = y.transpose((0, 2, 1, 3)).reshape(b, s, nh * hd)
+        y = T.causal_attention(q, k, v, config.n_heads)
         x = x + T.linear(y, params[p + "attn.wo"], params[p + "attn.bo"])
 
         h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"], LN_EPS)
@@ -183,16 +160,7 @@ def forward(config: ModelConfig, params: ParamSet, tokens: np.ndarray) -> Tensor
 
 def loss_ce(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over unmasked positions."""
-    targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=logits.dtype)
-    if targets.shape != logits.shape[:-1] or mask.shape != targets.shape:
-        raise TensorError("logits / targets / mask shapes disagree")
-    total = float(mask.sum())
-    if total == 0.0:
-        raise TensorError("loss_ce: mask excludes every position")
-    logp = T.log_softmax(logits)
-    nll = -T.gather_last(logp, targets)
-    return (nll * mask).sum() * (1.0 / total)
+    return T.masked_nll(logits, targets, mask)
 
 
 def sample(

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ class TestEvalCommands:
         out = capsys.readouterr().out
         assert f"params: {M.count_params(ModelConfig.from_dict(MID))}" in out
         assert "lineage:" in out
+
+    @pytest.mark.parametrize("key,value", [("config", "zz"), ("config", {"n_layers": 1}), ("meta", "zz")])
+    def test_inspect_bad_header_exit_2(self, tmp_path, capsys, key, value):
+        src = tmp_path / "src.cbdc"
+        write_ckpt(src, MID, 7, "mid")
+        raw = src.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        header = {**json.loads(raw[16 : 16 + hlen]), key: value}
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        src.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        assert main(["inspect", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid {key} record" in err and "Traceback" not in err
 
     def test_eval_reports_perplexity(self, tmp_path, capsys):
         src = tmp_path / "src.cbdc"

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,6 @@ from chainkd.evaluate import (
     alpha_sweep,
     compare_init,
     perplexity,
-    read_report,
     rouge_l,
     speedup,
     steps_to_target,
@@ -195,10 +196,12 @@ class TestReports:
         )
         report.write_csv(tmp_path / "r.csv")
         report.write_json(tmp_path / "r.json")
-        back = read_report(tmp_path / "r.csv", tmp_path / "r.json")
-        assert back.curves == report.curves
-        assert back.metrics == report.metrics
-        assert back.steps_to_target == 10 and back.speedup == 3.5
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["run", "step", "loss"], ["a", "0", "2.5"], ["a", "10", "1.25"], ["b", "0", "3.0"]]
+        payload = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert payload == {"name": "toy", "metrics": report.metrics, "steps_to_target": 10, "speedup": 3.5,
+                           "provenance": {"seed": 1}}
 
     def test_deterministic_bytes(self, tmp_path):
         report = EvalReport(name="toy", curves={"a": [(0, 1 / 3)]}, metrics={"x": 0.1})

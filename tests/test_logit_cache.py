@@ -34,14 +34,16 @@ def _teacher(seed=0):
 
 
 def _reference(teacher, tokens):
-    # one forward per block, scaled afterwards: the cache's original serial form
+    # one forward per block, scaled and log-softmaxed afterwards: the cache's
+    # original serial form
     out = np.empty((*tokens.shape, TEACHER.vocab_size), dtype=np.float32)
     with no_grad():
         for i in range(0, len(tokens), EVAL_BATCH):
             block = tokens[i : i + EVAL_BATCH]
             out[i : i + len(block)] = M.forward(TEACHER, teacher.params, block).data
     out *= np.float32(1.0 / CFG.temperature)
-    return out
+    shifted = out - out.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _cpus(monkeypatch, n):
