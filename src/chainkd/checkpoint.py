@@ -17,8 +17,10 @@ order, so identical checkpoints serialize to identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -145,20 +147,31 @@ def save(ckpt: Checkpoint, path: str) -> None:
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        written = 0
-        for entry, name in zip(entries, names):
-            pad = entry["byte_offset"] - written
-            if pad:
-                fh.write(b"\x00" * pad)
-                written += pad
-            payload = np.ascontiguousarray(ckpt.params[name].data, dtype=_TAG_TO_DTYPE[entry["dtype"]])
-            fh.write(payload.tobytes())
-            written += entry["byte_len"]
+    # write a temp file beside the target and rename it over the target, so a
+    # reader sees the old file or the whole new one, never a partial write
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            written = 0
+            for entry, name in zip(entries, names):
+                pad = entry["byte_offset"] - written
+                if pad:
+                    fh.write(b"\x00" * pad)
+                    written += pad
+                payload = np.ascontiguousarray(ckpt.params[name].data, dtype=_TAG_TO_DTYPE[entry["dtype"]])
+                fh.write(payload.tobytes())
+                written += entry["byte_len"]
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_header(path: str) -> dict:

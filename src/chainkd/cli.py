@@ -69,18 +69,30 @@ def _load_json_arg(arg: str, what: str) -> dict:
         raise ConfigError(f"{what}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
 
 
-def _model_config(d: dict, path: str) -> ModelConfig:
-    if not isinstance(d, dict):
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
+    return value
+
+
+def _seed(d: dict, path: str, seed_override: int | None) -> int:
+    if seed_override is not None:
+        return seed_override
+    seed = d.get("seed", 0)
+    if type(seed) is not int:
+        raise ConfigError(f"{path}.seed: expected an integer, got {seed!r}")
+    return seed
+
+
+def _model_config(d: dict, path: str) -> ModelConfig:
     try:
-        return ModelConfig.from_dict(d)
+        return ModelConfig.from_dict(_object(d, path))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
 def _distill_config(d: dict, path: str, seed_override: int | None) -> DistillConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
+    _object(d, path)
     if seed_override is not None:
         d = {**d, "seed": seed_override}
     try:
@@ -93,8 +105,10 @@ def _corpus_from_spec(d: dict, path: str, seed_override: int | None) -> D.Corpus
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{path}: expected an object with a 'kind' field")
     kind = d["kind"]
-    seed = int(d.get("seed", 0)) if seed_override is None else seed_override
-    params = d.get("params", {})
+    seed = _seed(d, path, seed_override)
+    params = _object(d.get("params", {}), f"{path}.params")
+    if not isinstance(params.get("alphabet", ""), str):
+        raise ConfigError(f"{path}.params.alphabet: expected a string")
     try:
         if kind == "markov":
             return D.gen_markov(
@@ -107,10 +121,10 @@ def _corpus_from_spec(d: dict, path: str, seed_override: int | None) -> D.Corpus
         if kind == "arithmetic":
             return D.gen_arithmetic(seed, int(params.get("n_docs", 200)), int(params.get("max_operand", 99)))
         if kind == "file":
-            if "path" not in d:
-                raise ConfigError(f"{path}.path: required for kind 'file'")
+            if not isinstance(d.get("path"), str):
+                raise ConfigError(f"{path}.path: a string is required for kind 'file'")
             return D.load_text(d["path"], float(params.get("split_ratio", 0.9)), seed)
-    except (OSError, ValueError) as e:
+    except (OSError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
     raise ConfigError(f"{path}.kind: unknown corpus kind {kind!r}")
 
@@ -131,6 +145,8 @@ def _vocab_for(name: str | None, vocab_size: int, path: str):
 
 def _out_dir(arg: str | None) -> str:
     out = arg or os.environ.get("CBD_OUT_DIR") or "."
+    if not isinstance(out, str):
+        raise ConfigError(f"out_dir: expected a string, got {out!r}")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -139,18 +155,23 @@ def _out_dir(arg: str | None) -> str:
 
 
 def cmd_chain(args) -> int:
-    raw = _load_json_arg(args.config, "config")
+    raw = _object(_load_json_arg(args.config, "config"), "config")
     for key in ("source", "anchors", "edges", "corpus"):
         if key not in raw:
             raise ConfigError(f"config: missing required field '{key}'")
+    for key in ("anchors", "edges"):
+        if not isinstance(raw[key], list):
+            raise ConfigError(f"{key}: expected a list")
     anchors = [_model_config(a, f"anchors[{i}]") for i, a in enumerate(raw["anchors"])]
     edges = [_distill_config(e, f"edges[{i}]", args.seed) for i, e in enumerate(raw["edges"])]
 
-    src = raw["source"]
+    src = _object(raw["source"], "source")
     source_path = src.get("path")
+    if source_path is not None and not isinstance(source_path, str):
+        raise ConfigError("source.path: expected a string")
     recipe = None
     if "recipe" in src:
-        r = src["recipe"]
+        r = _object(src["recipe"], "source.recipe")
         if "config" not in r:
             raise ConfigError("source.recipe.config: required")
         recipe = SourceRecipe(
@@ -161,7 +182,7 @@ def cmd_chain(args) -> int:
     bridge_spec = None
     bridge_train = None
     if "bridge" in raw and raw["bridge"] is not None:
-        b = raw["bridge"]
+        b = _object(raw["bridge"], "bridge")
         for key in ("source_tokenizer", "bridge_tokenizer", "bridge_config", "n_samples"):
             if key not in b:
                 raise ConfigError(f"bridge: missing required field '{key}'")
@@ -173,9 +194,9 @@ def cmd_chain(args) -> int:
                 n_samples=int(b["n_samples"]),
                 gen_temperature=float(b.get("gen_temperature", 1.0)),
                 gen_max_len=int(b.get("gen_max_len", 32)),
-                seed=int(b.get("seed", 0)) if args.seed is None else args.seed,
+                seed=_seed(b, "bridge", args.seed),
             )
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bridge: {e}") from e
         bridge_train = _distill_config(b.get("train", {"steps": 1000}), "bridge.train", args.seed)
 

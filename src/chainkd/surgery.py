@@ -7,12 +7,12 @@ index rules (prefix-keep vs tail-pad), which makes subset-with-inverted-plan
 an exact inverse of expansion.  Interpolation blends the expanded small
 anchor with the subsetted large anchor elementwise.
 
-Width-axis conventions per tensor:
-  * embeddings and LN params live on d_model; new LN slots get gamma=0 and
-    beta=0 so the padded dimensions stay silent,
-  * attention projections are viewed as [.., n_heads, head_dim] on the inner
-    axis; whole zero heads are appended / prefix heads kept,
-  * FFN w1 grows zero columns on d_ff, w2 zero rows (mirrored on subset).
+Width-axis conventions: the parameter-layout table in transformer.py names
+the config axis of every dimension of every tensor, and each axis is resized
+to the target config on its own.  Expansion pads the tail with zeros, so new
+LN slots get gamma=0 and beta=0 and the padded dimensions stay silent; the
+inner axis is n_heads * head_dim, so it gains whole zero heads.  Subsetting
+keeps the prefix of every axis, and so the prefix heads.
 
 In identity replication mode every non-first occurrence of a source layer
 has wo/bo and ffn.w2/b2 zeroed, so the replica is the identity on the
@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, Meta
 from .tensor import Tensor
-from .transformer import ModelConfig, ParamSet, count_params, structurally_le
+from .transformer import LAYER_AXES, ModelConfig, ParamSet, count_params, param_shapes, structurally_le
 
 
 class SurgeryError(ValueError):
@@ -99,109 +99,40 @@ def invert_expand(plan: TransformPlan) -> TransformPlan:
     return TransformPlan(kind="subset", src=plan.dst, dst=plan.src, layer_map=kept)
 
 
-def _pad_tail(arr: np.ndarray, axis: int, new: int) -> np.ndarray:
-    if arr.shape[axis] == new:
-        return arr
-    widths = [(0, 0)] * arr.ndim
-    widths[axis] = (0, new - arr.shape[axis])
-    return np.pad(arr, widths)
-
-
-def _keep_prefix(arr: np.ndarray, axis: int, new: int) -> np.ndarray:
-    if arr.shape[axis] == new:
-        return arr
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(0, new)
-    return np.ascontiguousarray(arr[tuple(index)])
-
-
-def _resize_heads(arr: np.ndarray, axis: int, src_heads: int, dst_heads: int, head_dim: int, grow: bool) -> np.ndarray:
-    """Treat `axis` (length src_heads*head_dim) as [n_heads, head_dim] and
-    append zero heads / keep prefix heads."""
-    if src_heads == dst_heads:
-        return arr
-    shape = list(arr.shape)
-    view = shape[:axis] + [src_heads, head_dim] + shape[axis + 1 :]
-    arr = arr.reshape(view)
-    arr = _pad_tail(arr, axis, dst_heads) if grow else _keep_prefix(arr, axis, dst_heads)
-    out_shape = shape[:axis] + [dst_heads * head_dim] + shape[axis + 1 :]
-    return arr.reshape(out_shape)
-
-
-def _transform_tensor(name: str, arr: np.ndarray, plan: TransformPlan, src_layer: int | None) -> np.ndarray:
-    src, dst = plan.src, plan.dst
-    grow = plan.kind == "expand"
-    resize = _pad_tail if grow else _keep_prefix
-    hd = src.head_dim
-
-    if name in ("embed.tok", "embed.pos"):
-        return resize(arr, 1, dst.d_model)
-    if name in ("final.ln.g", "final.ln.b") or name.endswith((".ln1.g", ".ln1.b", ".ln2.g", ".ln2.b")):
-        return resize(arr, 0, dst.d_model)
-    if name == "lm_head.w":
-        return resize(arr, 0, dst.d_model)
-    if name.endswith((".attn.wq", ".attn.wk", ".attn.wv")):
-        arr = resize(arr, 0, dst.d_model)
-        return _resize_heads(arr, 1, src.n_heads, dst.n_heads, hd, grow)
-    if name.endswith((".attn.bq", ".attn.bk", ".attn.bv")):
-        return _resize_heads(arr, 0, src.n_heads, dst.n_heads, hd, grow)
-    if name.endswith(".attn.wo"):
-        arr = _resize_heads(arr, 0, src.n_heads, dst.n_heads, hd, grow)
-        return resize(arr, 1, dst.d_model)
-    if name.endswith(".attn.bo"):
-        return resize(arr, 0, dst.d_model)
-    if name.endswith(".ffn.w1"):
-        arr = resize(arr, 0, dst.d_model)
-        return resize(arr, 1, dst.d_ff)
-    if name.endswith(".ffn.b1"):
-        return resize(arr, 0, dst.d_ff)
-    if name.endswith(".ffn.w2"):
-        arr = resize(arr, 0, dst.d_ff)
-        return resize(arr, 1, dst.d_model)
-    if name.endswith(".ffn.b2"):
-        return resize(arr, 0, dst.d_model)
-    raise SurgeryError(f"no transform rule for tensor {name!r}")
+def _resize(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Keep the prefix of every axis longer than `shape` and zero-pad the tail
+    of every shorter one: the subset and expansion rules, mirrored."""
+    kept = arr[tuple(slice(0, n) for n in shape)]
+    if kept.shape == shape:
+        return kept
+    out = np.zeros(shape, dtype=arr.dtype)
+    out[tuple(slice(0, n) for n in kept.shape)] = kept
+    return out
 
 
 # tensors zeroed on non-first replicas so the block is the residual identity
-_IDENTITY_ZEROED = (".attn.wo", ".attn.bo", ".ffn.w2", ".ffn.b2")
+_IDENTITY_ZEROED = ("attn.wo", "attn.bo", "ffn.w2", "ffn.b2")
 
 
 def apply_transform(ckpt: Checkpoint, plan: TransformPlan) -> Checkpoint:
     if ckpt.config != plan.src:
         raise SurgeryError("checkpoint config does not match the plan's source config")
     ckpt.validate()
-    src_params = ckpt.params
+    source: dict[str, str] = {}  # target layer tensor -> the source tensor it comes from
+    zeroed: set[str] = set()
+    for i, j in enumerate(plan.layer_map):
+        # only expansion repeats a source layer; subset plans keep each one once
+        replica = plan.replication_mode == "identity" and j in plan.layer_map[:i]
+        for suffix in LAYER_AXES:
+            source[f"L{i}.{suffix}"] = f"L{j}.{suffix}"
+            if replica and suffix in _IDENTITY_ZEROED:
+                zeroed.add(f"L{i}.{suffix}")
+
+    dtype = ckpt.params["embed.tok"].dtype.type
     out: ParamSet = {}
-    dtype = src_params["embed.tok"].dtype
-
-    def put(name: str, arr: np.ndarray) -> None:
-        out[name] = Tensor(np.ascontiguousarray(arr), dtype=dtype.type)
-
-    for name in ("embed.tok", "embed.pos", "final.ln.g", "final.ln.b"):
-        put(name, _transform_tensor(name, src_params[name].data, plan, None))
-    if not plan.src.tied_lm_head:
-        put("lm_head.w", _transform_tensor("lm_head.w", src_params["lm_head.w"].data, plan, None))
-
-    suffixes = [
-        "ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
-        "attn.bq", "attn.bk", "attn.bv", "attn.bo",
-        "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
-    ]
-    if plan.kind == "expand":
-        seen: set[int] = set()
-        for i, j in enumerate(plan.layer_map):
-            is_replica = j in seen
-            seen.add(j)
-            for sfx in suffixes:
-                arr = _transform_tensor(f"L{j}.{sfx}", src_params[f"L{j}.{sfx}"].data, plan, j)
-                if plan.replication_mode == "identity" and is_replica and f".{sfx}".endswith(_IDENTITY_ZEROED):
-                    arr = np.zeros_like(arr)
-                put(f"L{i}.{sfx}", arr)
-    else:
-        for i, j in enumerate(plan.layer_map):
-            for sfx in suffixes:
-                put(f"L{i}.{sfx}", _transform_tensor(f"L{j}.{sfx}", src_params[f"L{j}.{sfx}"].data, plan, j))
+    for name, shape in param_shapes(plan.dst).items():
+        arr = np.zeros(shape, dtype) if name in zeroed else _resize(ckpt.params[source.get(name, name)].data, shape)
+        out[name] = Tensor(arr, dtype=dtype)
 
     stage = (
         f"{plan.kind}:{plan.replication_mode} {plan.src.n_layers}x{plan.src.d_model}"

@@ -35,8 +35,11 @@ class ModelConfig:
 
     def __post_init__(self):
         for field in ("n_layers", "n_heads", "head_dim", "d_model", "d_ff", "vocab_size", "max_seq_len"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"ModelConfig.{field} must be >= 1")
+            value = getattr(self, field)
+            if type(value) is not int or value < 1:  # a bool is an int subclass: rejected too
+                raise ValueError(f"ModelConfig.{field} must be an int >= 1, got {value!r}")
+        if type(self.tied_lm_head) is not bool:
+            raise ValueError(f"ModelConfig.tied_lm_head must be a bool, got {self.tied_lm_head!r}")
 
     @property
     def inner(self) -> int:
@@ -65,36 +68,31 @@ def structurally_le(a: ModelConfig, b: ModelConfig) -> bool:
     )
 
 
+# The parameter layout: for every tensor, the config axis of each dimension.
+# Layer tensors are named "L{i}.{suffix}".  "inner" is n_heads * head_dim and
+# nested configs share head_dim, so a resize of it adds or drops whole heads.
+EMBED_AXES = {"embed.tok": ("vocab", "d"), "embed.pos": ("seq", "d")}
+LAYER_AXES = {
+    "ln1.g": ("d",), "ln1.b": ("d",),
+    "attn.wq": ("d", "inner"), "attn.wk": ("d", "inner"), "attn.wv": ("d", "inner"), "attn.wo": ("inner", "d"),
+    "attn.bq": ("inner",), "attn.bk": ("inner",), "attn.bv": ("inner",), "attn.bo": ("d",),
+    "ln2.g": ("d",), "ln2.b": ("d",),
+    "ffn.w1": ("d", "ff"), "ffn.b1": ("ff",), "ffn.w2": ("ff", "d"), "ffn.b2": ("d",),
+}
+OUTPUT_AXES = {"final.ln.g": ("d",), "final.ln.b": ("d",), "lm_head.w": ("d", "vocab")}
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes; a pure function of the config."""
-    d, inner, ff = config.d_model, config.inner, config.d_ff
-    shapes: dict[str, tuple[int, ...]] = {
-        "embed.tok": (config.vocab_size, d),
-        "embed.pos": (config.max_seq_len, d),
-    }
+    size = {"vocab": config.vocab_size, "seq": config.max_seq_len, "d": config.d_model,
+            "ff": config.d_ff, "inner": config.inner}
+    axes = dict(EMBED_AXES)
     for i in range(config.n_layers):
-        p = f"L{i}."
-        shapes[p + "ln1.g"] = (d,)
-        shapes[p + "ln1.b"] = (d,)
-        shapes[p + "attn.wq"] = (d, inner)
-        shapes[p + "attn.wk"] = (d, inner)
-        shapes[p + "attn.wv"] = (d, inner)
-        shapes[p + "attn.wo"] = (inner, d)
-        shapes[p + "attn.bq"] = (inner,)
-        shapes[p + "attn.bk"] = (inner,)
-        shapes[p + "attn.bv"] = (inner,)
-        shapes[p + "attn.bo"] = (d,)
-        shapes[p + "ln2.g"] = (d,)
-        shapes[p + "ln2.b"] = (d,)
-        shapes[p + "ffn.w1"] = (d, ff)
-        shapes[p + "ffn.b1"] = (ff,)
-        shapes[p + "ffn.w2"] = (ff, d)
-        shapes[p + "ffn.b2"] = (d,)
-    shapes["final.ln.g"] = (d,)
-    shapes["final.ln.b"] = (d,)
-    if not config.tied_lm_head:
-        shapes["lm_head.w"] = (d, config.vocab_size)
-    return shapes
+        axes.update((f"L{i}.{suffix}", a) for suffix, a in LAYER_AXES.items())
+    axes.update(OUTPUT_AXES)
+    if config.tied_lm_head:
+        del axes["lm_head.w"]  # the LM head reuses embed.tok
+    return {name: tuple(size[axis] for axis in a) for name, a in axes.items()}
 
 
 def count_params(config: ModelConfig) -> int:
@@ -106,12 +104,10 @@ def init_random(config: ModelConfig, seed: int, dtype=F32) -> ParamSet:
     rng = np.random.default_rng(seed)
     params: ParamSet = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith((".g",)):
-            arr = np.ones(shape, dtype=dtype)
-        elif name.endswith((".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")):
-            arr = np.zeros(shape, dtype=dtype)
-        else:
+        if len(shape) == 2:
             arr = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
+        else:
+            arr = (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=dtype)
         params[name] = Tensor(arr, dtype=dtype)
     return params
 

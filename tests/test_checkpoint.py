@@ -1,4 +1,6 @@
 import json
+import resource
+import signal
 import struct
 
 import numpy as np
@@ -73,6 +75,23 @@ class TestRoundtrip:
         p = tmp_path / "a.cbdc"
         save(c, str(p))
         assert load(str(p)).meta.loss_curves == c.meta.loss_curves
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        p = tmp_path / "a.cbdc"
+        save(make_ckpt(1), str(p))
+        old = p.read_bytes()
+        # a file-size limit below the checkpoint's size fails the write partway
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(old) // 2, limits[1]))
+        try:
+            with pytest.raises(OSError):
+                save(make_ckpt(2), str(p))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["a.cbdc"]
 
 
 class TestFormat:
@@ -188,6 +207,8 @@ MUTATIONS = {
     "unhashable dtype": (lambda raw: _rewrite_header(raw, _set(["tensors", 0, "dtype"], [1])), ShapeMismatchError),
     "tensors is a string": (lambda raw: _rewrite_header(raw, _set(["tensors"], "zz")), CorruptDataError),
     "meta.seed not a number": (lambda raw: _rewrite_header(raw, _set(["meta", "seed"], "abc")), CorruptDataError),
+    "config.vocab_size a float": (lambda raw: _rewrite_header(raw, _set(["config", "vocab_size"], 11.0)), ShapeMismatchError),
+    "config.tied_lm_head an int": (lambda raw: _rewrite_header(raw, _set(["config", "tied_lm_head"], 1)), ShapeMismatchError),
     "NaN in a payload": (_nan_payload, CorruptDataError),
 }
 

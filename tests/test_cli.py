@@ -90,6 +90,44 @@ class TestChainCommand:
         assert not (tmp_path / "out").exists()
 
 
+
+def _train_argv(tmp_path, model=SMALL, corpus=CORPUS):
+    return ["train", "--model", json.dumps(model), "--corpus", json.dumps(corpus), "--tokenizer", "char",
+            "--steps", "1", "--out", str(tmp_path / "m.cbdc")]
+
+
+def _chain_argv(tmp_path, **updates):
+    cfg_path = tmp_path / "chain.json"
+    cfg_path.write_text(json.dumps({**chain_config(tmp_path, tmp_path / "out"), **updates}))
+    return ["chain", str(cfg_path)]
+
+
+# each malformed spec, and the start of the error line that must name its field
+MALFORMED_SPECS = {
+    "corpus params a list": (lambda t: _train_argv(t, corpus={**CORPUS, "params": [1]}), "corpus.params:"),
+    "corpus seed null": (lambda t: _train_argv(t, corpus={**CORPUS, "seed": None}), "corpus.seed:"),
+    "markov alphabet an int": (lambda t: _train_argv(
+        t, corpus={**CORPUS, "params": {**CORPUS["params"], "alphabet": 5}}), "corpus.params.alphabet:"),
+    "file path an int": (lambda t: _train_argv(t, corpus={"kind": "file", "path": 0}), "corpus.path:"),
+    "model size a float": (lambda t: _train_argv(t, model={**SMALL, "n_layers": 1.5}),
+                           "model: ModelConfig.n_layers"),
+    "chain source an int": (lambda t: _chain_argv(t, source=5), "source:"),
+    "chain recipe an int": (lambda t: _chain_argv(t, source={"recipe": 5}), "source.recipe:"),
+    "chain source path an int": (lambda t: _chain_argv(t, source={"path": 0}), "source.path: expected a string"),
+    "chain bridge an int": (lambda t: _chain_argv(t, bridge=5), "bridge:"),
+    "chain out_dir an int": (lambda t: _chain_argv(t, out_dir=5), "out_dir:"),
+    "chain anchors an int": (lambda t: _chain_argv(t, anchors=5), "anchors:"),
+    "chain anchor size a float": (lambda t: _chain_argv(t, anchors=[{**MID, "d_model": 12.0}, SMALL]),
+                                  "anchors[0]: ModelConfig.d_model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_exit_2_named(tmp_path, capsys, case):
+    argv, field = MALFORMED_SPECS[case]
+    assert main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
 class TestBridgedChain:
     def test_bridge_produces_anchor_zero(self, tmp_path):
         out = tmp_path / "out"
@@ -231,7 +269,8 @@ class TestEvalCommands:
         assert f"params: {M.count_params(ModelConfig.from_dict(MID))}" in out
         assert "lineage:" in out
 
-    @pytest.mark.parametrize("key,value", [("config", "zz"), ("config", {"n_layers": 1}), ("meta", "zz")])
+    @pytest.mark.parametrize("key,value", [("config", "zz"), ("config", {"n_layers": 1}), ("meta", "zz"),
+                                           ("config", {**MID, "n_layers": 1.5})])
     def test_inspect_bad_header_exit_2(self, tmp_path, capsys, key, value):
         src = tmp_path / "src.cbdc"
         write_ckpt(src, MID, 7, "mid")

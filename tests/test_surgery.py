@@ -17,8 +17,8 @@ from chainkd.surgery import (
 from chainkd.transformer import ModelConfig
 
 
-def cfg(layers, heads, d_model, d_ff, head_dim=4, vocab=11, max_seq=10):
-    return ModelConfig(layers, heads, head_dim, d_model, d_ff, vocab, max_seq)
+def cfg(layers, heads, d_model, d_ff, head_dim=4, vocab=11, max_seq=10, tied=True):
+    return ModelConfig(layers, heads, head_dim, d_model, d_ff, vocab, max_seq, tied)
 
 
 def make(config, seed=0, name="m"):
@@ -100,10 +100,12 @@ class TestApplyTransform:
         toks = self.rand_tokens(1)
         assert np.allclose(self.logits(src, toks), self.logits(out, toks), atol=1e-5)
 
-    def test_identity_mode_depth_growth_preserves_function(self):
-        src = make(SMALL, 3)
-        dst = cfg(4, 2, 8, 16)
-        out = apply_transform(src, plan_expand(SMALL, dst, mode="identity"))
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_identity_mode_depth_growth_preserves_function(self, tied):
+        src_cfg = cfg(2, 2, 8, 16, tied=tied)
+        src = make(src_cfg, 3)
+        dst = cfg(4, 2, 8, 16, tied=tied)
+        out = apply_transform(src, plan_expand(src_cfg, dst, mode="identity"))
         toks = self.rand_tokens(2)
         assert np.allclose(self.logits(src, toks), self.logits(out, toks), atol=1e-5)
 
@@ -126,20 +128,22 @@ class TestApplyTransform:
         assert np.all(out.params["L0.ln1.g"].data[8:] == 0.0)
         assert np.all(out.params["final.ln.g"].data[8:] == 0.0)
 
-    @pytest.mark.parametrize("mode", ["copy", "identity"])
-    def test_inverse_roundtrip_bitwise(self, mode):
+    @pytest.mark.parametrize("mode,tied", [("copy", True), ("identity", True), ("copy", False), ("identity", False)],
+                             ids=["copy", "identity", "copy-untied", "identity-untied"])
+    def test_inverse_roundtrip_bitwise(self, mode, tied):
         rng = np.random.default_rng(9)
         for trial in range(6):
             layers = int(rng.integers(1, 4))
             heads = int(rng.integers(1, 4))
             dm = int(rng.integers(2, 8))
             ff = int(rng.integers(2, 12))
-            src_cfg = cfg(layers, heads, dm, ff)
+            src_cfg = cfg(layers, heads, dm, ff, tied=tied)
             dst_cfg = cfg(
                 layers + int(rng.integers(0, 4)),
                 heads + int(rng.integers(0, 3)),
                 dm + int(rng.integers(0, 6)),
                 ff + int(rng.integers(0, 8)),
+                tied=tied,
             )
             src = make(src_cfg, seed=trial)
             e = plan_expand(src_cfg, dst_cfg, mode=mode)

@@ -27,8 +27,11 @@ class TestConfig:
         assert M.param_shapes(cfg)["L0.attn.wq"] == (16, 24)
 
     def test_field_bounds(self):
-        with pytest.raises(ValueError):
-            ModelConfig(n_layers=0, n_heads=1, head_dim=1, d_model=1, d_ff=1, vocab_size=2, max_seq_len=2)
+        fields = dict(n_layers=1, n_heads=1, head_dim=1, d_model=1, d_ff=1, vocab_size=2, max_seq_len=2)
+        for field, value in [("n_layers", 0), ("n_layers", 1.5), ("vocab_size", 100.0), ("d_model", "8"),
+                             ("n_layers", True), ("tied_lm_head", 1), ("tied_lm_head", "yes")]:
+            with pytest.raises(ValueError, match=f"ModelConfig.{field} must be"):
+                ModelConfig(**{**fields, field: value})
 
     def test_structurally_le(self):
         small = ModelConfig(2, 2, 8, 16, 32, 13, 12)
