@@ -5,9 +5,8 @@ from .checkpoint import Checkpoint, Meta, load, load_header, save
 from .data import Corpus, gen_arithmetic, gen_markov, load_text
 from .distill import (
     BridgeSpec,
-    ChainSpec,
     DistillConfig,
-    SourceRecipe,
+    check_chain,
     distill_edge,
     forward_kl_loss,
     reverse_kl_loss,

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class CorruptDataError(CheckpointError):
     """A header field or a payload holds a value that save never writes."""
 
 
+def _list_of(value, *kinds: type) -> bool:
+    return isinstance(value, list) and all(type(v) in kinds for v in value)
+
+
 @dataclass
 class Meta:
     """Provenance: lineage entries are append-only stage descriptors such as
@@ -76,24 +80,25 @@ class Meta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Meta":
-        return cls(
-            name=d.get("name", ""),
-            seed=int(d.get("seed", 0)),
-            step_count=int(d.get("step_count", 0)),
-            lineage=list(d.get("lineage", [])),
-            loss_curves=list(d.get("loss_curves", [])),
-        )
+        """The meta record as to_dict writes it, or ValueError."""
+        if not isinstance(d, dict) or set(d) != {f.name for f in fields(cls)}:
+            raise ValueError("meta must hold exactly name, seed, step_count, lineage and loss_curves")
+        if not (type(d["name"]) is str and type(d["seed"]) is int and type(d["step_count"]) is int
+                and _list_of(d["lineage"], str) and _list_of(d["loss_curves"], dict)
+                and all(_list_of(c.get("losses", []), int, float) for c in d["loss_curves"])):
+            raise ValueError("meta types are not name: str, seed and step_count: int, lineage: [str],"
+                             " loss_curves: [{losses: [number], ...}]")
+        return cls(**d)
 
     def child(self, stage: str, **updates) -> "Meta":
         """New meta with the stage appended; lineage stays append-only."""
-        out = Meta(
+        return Meta(
             name=updates.get("name", self.name),
             seed=updates.get("seed", self.seed),
             step_count=updates.get("step_count", self.step_count),
             lineage=self.lineage + [stage],
             loss_curves=[dict(c) for c in self.loss_curves],
         )
-        return out
 
 
 @dataclass
@@ -196,9 +201,10 @@ def _read_header(path: str) -> tuple[dict, int]:
         if len(raw) < 8:
             raise TruncatedDataError("file ends inside the header length field")
         (hlen,) = struct.unpack("<Q", raw)
-        header_bytes = fh.read(hlen)
-        if len(header_bytes) < hlen:
+        # checked before the read, which would otherwise allocate hlen bytes
+        if 16 + hlen > os.fstat(fh.fileno()).st_size:
             raise TruncatedDataError("file ends inside the header")
+        header_bytes = fh.read(hlen)
         try:
             header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -22,10 +22,10 @@ from . import transformer as M
 from .checkpoint import CheckpointError, load, load_header, parse_records, save
 from .distill import (
     BridgeSpec,
-    ChainSpec,
     DistillConfig,
     DistillError,
-    SourceRecipe,
+    check_bridge,
+    check_chain,
     distill_edge,
     run_bridge,
     run_stepwise_chain,
@@ -155,6 +155,7 @@ def _out_dir(arg: str | None) -> str:
 
 
 def cmd_chain(args) -> int:
+    """Check the whole config, then run each stage and save what it makes."""
     raw = _object(_load_json_arg(args.config, "config"), "config")
     for key in ("source", "anchors", "edges", "corpus"):
         if key not in raw:
@@ -166,22 +167,25 @@ def cmd_chain(args) -> int:
     edges = [_distill_config(e, f"edges[{i}]", args.seed) for i, e in enumerate(raw["edges"])]
 
     src = _object(raw["source"], "source")
-    source_path = src.get("path")
-    if source_path is not None and not isinstance(source_path, str):
-        raise ConfigError("source.path: expected a string")
-    recipe = None
-    if "recipe" in src:
-        r = _object(src["recipe"], "source.recipe")
-        if "config" not in r:
+    if ("path" in src) == ("recipe" in src):
+        raise ConfigError("source: exactly one of 'path' and 'recipe' is required")
+    if "path" in src:
+        if not isinstance(src["path"], str):
+            raise ConfigError("source.path: expected a string")
+        try:
+            source = load(src["path"])
+        except (OSError, CheckpointError) as e:
+            raise ConfigError(f"source.path: {e}") from e
+        source_cfg = source.config
+    else:
+        recipe = _object(src["recipe"], "source.recipe")
+        if "config" not in recipe:
             raise ConfigError("source.recipe.config: required")
-        recipe = SourceRecipe(
-            config=_model_config(r["config"], "source.recipe.config"),
-            train=_distill_config(r.get("train", {"steps": 500}), "source.recipe.train", args.seed),
-        )
+        source_cfg = _model_config(recipe["config"], "source.recipe.config")
+        source_train = _distill_config(recipe.get("train", {"steps": 500}), "source.recipe.train", args.seed)
 
     bridge_spec = None
-    bridge_train = None
-    if "bridge" in raw and raw["bridge"] is not None:
+    if raw.get("bridge") is not None:
         b = _object(raw["bridge"], "bridge")
         for key in ("source_tokenizer", "bridge_tokenizer", "bridge_config", "n_samples"):
             if key not in b:
@@ -191,46 +195,31 @@ def cmd_chain(args) -> int:
                 source_tokenizer=b["source_tokenizer"],
                 bridge_tokenizer=b["bridge_tokenizer"],
                 bridge_config=_model_config(b["bridge_config"], "bridge.bridge_config"),
-                n_samples=int(b["n_samples"]),
-                gen_temperature=float(b.get("gen_temperature", 1.0)),
-                gen_max_len=int(b.get("gen_max_len", 32)),
+                n_samples=b["n_samples"],
+                gen_temperature=b.get("gen_temperature", 1.0),
+                gen_max_len=b.get("gen_max_len", 32),
                 seed=_seed(b, "bridge", args.seed),
             )
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bridge: {e}") from e
         bridge_train = _distill_config(b.get("train", {"steps": 1000}), "bridge.train", args.seed)
-
-    spec = ChainSpec(anchors=anchors, edges=edges, source_path=source_path,
-                     source_recipe=recipe, bridge=bridge_spec)
-    try:
-        spec.validate()
-    except ValueError as e:
-        raise ConfigError(f"config: {e}") from e
+        check_bridge(bridge_spec, source_cfg)
+    # the bridge, when there is one, is the first edge's teacher
+    check_chain(source_cfg if bridge_spec is None else bridge_spec.bridge_config, anchors, edges)
 
     corpus = _corpus_from_spec(raw["corpus"], "corpus", args.seed)
     vocab = _vocab_for(raw.get("tokenizer"), anchors[0].vocab_size, "tokenizer")
     out_dir = _out_dir(args.out_dir or raw.get("out_dir"))
 
-    if source_path is not None:
-        try:
-            source = load(source_path)
-        except (OSError, CheckpointError) as e:
-            raise ConfigError(f"source.path: {e}") from e
-    else:
+    if "recipe" in src:
         # a bridged chain's source lives in the source tokenizer's vocabulary
-        source_tok = bridge_spec.source_tokenizer if bridge_spec is not None else raw.get("tokenizer")
-        source_vocab = _vocab_for(source_tok, recipe.config.vocab_size, "source.recipe.config")
-        source = train_lm(recipe.config, corpus, source_vocab, recipe.train, name="source")
+        source_vocab = vocab if bridge_spec is None else get_vocab(bridge_spec.source_tokenizer)
+        source = train_lm(source_cfg, corpus, source_vocab, source_train, name="source")
         save(source, os.path.join(out_dir, "source.cbdc"))
-
     if bridge_spec is not None:
-        if bridge_spec.bridge_config.vocab_size != anchors[0].vocab_size:
-            raise ConfigError("bridge.bridge_config: vocab_size must match the anchors")
         source = run_bridge(bridge_spec, source, corpus, bridge_train)
         save(source, os.path.join(out_dir, "anchor-0.cbdc"))
-
-    produced = run_stepwise_chain(spec, corpus, vocab, source=source)
-    for idx, anchor in enumerate(produced, start=1):
+    for idx, anchor in enumerate(run_stepwise_chain(source, anchors, edges, corpus, vocab), start=1):
         path = os.path.join(out_dir, f"anchor-{idx}.cbdc")
         save(anchor, path)
         print(f"anchor-{idx}: {path} params={M.count_params(anchor.config)}")

@@ -14,6 +14,7 @@ import functools
 import math
 import mmap
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from . import transformer as M
+# nothing here calls load_checkpoint: perfbench/test_tracer.py probes it by this name
 from .checkpoint import Checkpoint, Meta, load as load_checkpoint
 from .surgery import apply_transform, plan_subset
 from .tensor import GradTape, NonFiniteError, Tensor, no_grad
@@ -31,6 +33,10 @@ from .transformer import ModelConfig
 
 class DistillError(RuntimeError):
     pass
+
+
+class InvalidConfigError(DistillError, ValueError):
+    """A config that cannot run, found before training; the CLI exits 2."""
 
 
 class DivergenceError(DistillError):
@@ -46,6 +52,13 @@ class DivergenceError(DistillError):
 
 
 LOSS_KINDS = ("reverse_kl", "forward_kl", "ce")
+
+
+def _check_types(config, kind: type, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not kind:  # so a bool is not taken for an int
+            raise ValueError(f"{type(config).__name__}.{name} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass
@@ -65,16 +78,16 @@ class DistillConfig:
     init_from_teacher: bool = True
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        _check_types(self, int, ("steps", "batch", "seq_len", "seed", "sft_warm_epochs"))
+        _check_types(self, bool, ("init_from_teacher",))
+        if self.steps < 0 or self.sft_warm_epochs < 0:
+            raise ValueError("steps and sft_warm_epochs must be >= 0")
         if self.batch < 1 or self.seq_len < 2:
             raise ValueError("batch must be >= 1 and seq_len >= 2")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.lr <= 0 or self.temperature <= 0:
             raise ValueError("lr and temperature must be positive")
-        if self.sft_warm_epochs < 0:
-            raise ValueError("sft_warm_epochs must be >= 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not self.eps > 0:
@@ -98,41 +111,58 @@ class BridgeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self, int, ("n_samples", "gen_max_len", "seed"))
         if self.source_tokenizer == self.bridge_tokenizer:
             raise ValueError("bridge requires two different tokenizers")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
 
-@dataclass
-class SourceRecipe:
-    """Train a fresh source model on the corpus instead of loading one."""
-
-    config: ModelConfig
-    train: DistillConfig
+# -- config checks: every rule the configs alone decide, run before any training ----
 
 
-@dataclass
-class ChainSpec:
-    anchors: list[ModelConfig]
-    edges: list[DistillConfig]
-    source_path: str | None = None
-    source_recipe: SourceRecipe | None = None
-    bridge: BridgeSpec | None = None
+def check_edge(teacher_cfg: ModelConfig, student_cfg: ModelConfig, cfg: DistillConfig) -> None:
+    """Raise InvalidConfigError unless distill_edge can run cfg from a teacher
+    of teacher_cfg into student_cfg."""
+    if teacher_cfg.vocab_size != student_cfg.vocab_size:
+        raise InvalidConfigError(f"vocab_size of teacher {teacher_cfg.vocab_size} != student {student_cfg.vocab_size}")
+    if cfg.seq_len > min(teacher_cfg.max_seq_len, student_cfg.max_seq_len):
+        raise InvalidConfigError(f"seq_len {cfg.seq_len} exceeds a model's max_seq_len")
+    if cfg.init_from_teacher and not M.structurally_le(student_cfg, teacher_cfg):
+        raise InvalidConfigError("init_from_teacher needs a student nested in its teacher")
 
-    def validate(self) -> None:
-        if (self.source_path is None) == (self.source_recipe is None):
-            raise ValueError("exactly one of source_path / source_recipe is required")
-        if len(self.edges) != len(self.anchors):
-            raise ValueError("edges length must equal anchors length")
-        if not self.anchors:
-            raise ValueError("chain needs at least one anchor")
-        counts = [M.count_params(a) for a in self.anchors]
-        if any(b >= a for a, b in zip(counts, counts[1:])):
-            raise ValueError("anchors must strictly decrease in parameter count")
-        for a, b in zip(self.anchors, self.anchors[1:]):
-            if not M.structurally_le(b, a):
-                raise ValueError("adjacent anchors must nest structurally")
+
+def check_chain(source_cfg: ModelConfig, anchors: list[ModelConfig], edges: list[DistillConfig]) -> None:
+    """Raise InvalidConfigError unless run_stepwise_chain can run from a source
+    of source_cfg: one edge per anchor, shrinking nested anchors, check_edge."""
+    if not anchors or len(edges) != len(anchors):
+        raise InvalidConfigError("a chain needs at least one anchor and one edge per anchor")
+    for a, b in zip(anchors, anchors[1:]):
+        if not (M.count_params(b) < M.count_params(a) and M.structurally_le(b, a)):
+            raise InvalidConfigError("each anchor must nest in the one before it, with fewer parameters")
+    for idx, (teacher_cfg, student_cfg, cfg) in enumerate(zip([source_cfg, *anchors], anchors, edges), start=1):
+        try:
+            check_edge(teacher_cfg, student_cfg, cfg)
+        except InvalidConfigError as e:
+            raise InvalidConfigError(f"edge {idx}: {e}") from None
+
+
+def check_bridge(spec: BridgeSpec, source_cfg: ModelConfig) -> None:
+    """Raise InvalidConfigError unless run_bridge can sample from a source of
+    source_cfg: tokenizers that fit both models, temperature > 0, prompt room."""
+    for what, name, config in (("source", spec.source_tokenizer, source_cfg),
+                               ("bridge", spec.bridge_tokenizer, spec.bridge_config)):
+        try:
+            size = get_vocab(name).size
+        except ValueError as e:
+            raise InvalidConfigError(f"{what} tokenizer: {e}") from None
+        if config.vocab_size != size:
+            raise InvalidConfigError(f"{what} vocab_size {config.vocab_size} != tokenizer '{name}' ({size})")
+    if not (type(spec.gen_temperature) in (int, float) and spec.gen_temperature > 0):
+        raise InvalidConfigError(f"gen_temperature must be a number > 0, got {spec.gen_temperature!r}")
+    if spec.gen_max_len >= source_cfg.max_seq_len:
+        raise InvalidConfigError(f"gen_max_len {spec.gen_max_len} leaves no room for the prompt"
+                                 f" within the source's max_seq_len {source_cfg.max_seq_len}")
 
 
 # -- losses ---------------------------------------------------------------------
@@ -449,13 +479,7 @@ def distill_edge(
 ) -> Checkpoint:
     """One chain edge: initialize the student from its teacher (subset
     transform), optionally SFT-warm it, then distill for cfg.steps."""
-    if teacher.config.vocab_size != student_config.vocab_size:
-        raise DistillError(
-            f"vocabulary mismatch: teacher {teacher.config.vocab_size} vs student {student_config.vocab_size}"
-        )
-    if cfg.seq_len > min(teacher.config.max_seq_len, student_config.max_seq_len):
-        raise DistillError("seq_len exceeds a model's max_seq_len")
-
+    check_edge(teacher.config, student_config, cfg)
     if cfg.init_from_teacher:
         init = apply_transform(teacher, plan_subset(teacher.config, student_config))
         init_stage = "init=subset-of-teacher"
@@ -500,23 +524,18 @@ def distill_edge(
     return Checkpoint(student_config, params, meta)
 
 
-def run_stepwise_chain(spec: ChainSpec, corpus: D.Corpus, vocab: Vocabulary,
-                       source: Checkpoint | None = None) -> list[Checkpoint]:
-    """Produce every anchor in order, each distilled from its predecessor.
-    `source` overrides the spec's source (cmd_chain passes the bridge here)."""
-    spec.validate()
-    if source is None:
-        source = resolve_source(spec, corpus, vocab)
-    anchors: list[Checkpoint] = []
+def run_stepwise_chain(source: Checkpoint, anchors: list[ModelConfig], edges: list[DistillConfig],
+                       corpus: D.Corpus, vocab: Vocabulary) -> Iterator[Checkpoint]:
+    """Check the chain, then distill each anchor from its predecessor (the
+    first from `source`) and yield it as soon as its edge returns."""
+    check_chain(source.config, anchors, edges)
     teacher = source
-    for idx, (a_cfg, e_cfg) in enumerate(zip(spec.anchors, spec.edges), start=1):
+    for idx, (a_cfg, e_cfg) in enumerate(zip(anchors, edges), start=1):
         try:
-            student = distill_edge(teacher, a_cfg, corpus, vocab, e_cfg, name=f"anchor-{idx}")
+            teacher = distill_edge(teacher, a_cfg, corpus, vocab, e_cfg, name=f"anchor-{idx}")
         except DistillError as e:
             raise DistillError(f"edge {idx} ({teacher.meta.name} -> anchor-{idx}) failed: {e}") from e
-        anchors.append(student)
-        teacher = student
-    return anchors
+        yield teacher
 
 
 def run_direct_distill(
@@ -529,13 +548,6 @@ def run_direct_distill(
 ) -> Checkpoint:
     """Single-hop baseline: the source distills straight into the target."""
     return distill_edge(source, target_config, corpus, vocab, cfg, name=name)
-
-
-def resolve_source(spec: ChainSpec, corpus: D.Corpus, vocab: Vocabulary) -> Checkpoint:
-    if spec.source_path is not None:
-        return load_checkpoint(spec.source_path)
-    recipe = spec.source_recipe
-    return train_lm(recipe.config, corpus, vocab, recipe.train, name="source")
 
 
 # -- heterogeneous bridge --------------------------------------------------------------
@@ -603,16 +615,9 @@ def run_bridge(spec: BridgeSpec, source: Checkpoint, corpus: D.Corpus, cfg: Dist
     """SeqKD across the vocabulary gap: sample from the source with its own
     tokenizer, re-encode with the bridge tokenizer, train the bridge by CE
     on the re-encoded pairs.  The result is anchor zero of the chain."""
+    check_bridge(spec, source.config)
     src_vocab = get_vocab(spec.source_tokenizer)
     bridge_vocab = get_vocab(spec.bridge_tokenizer)
-    if source.config.vocab_size != src_vocab.size:
-        raise DistillError(
-            f"source vocab_size {source.config.vocab_size} != tokenizer '{spec.source_tokenizer}' ({src_vocab.size})"
-        )
-    if spec.bridge_config.vocab_size != bridge_vocab.size:
-        raise DistillError(
-            f"bridge vocab_size {spec.bridge_config.vocab_size} != tokenizer '{spec.bridge_tokenizer}' ({bridge_vocab.size})"
-        )
     docs = corpus.train_docs
     if not docs:
         raise DistillError("corpus has no training documents for prompts")

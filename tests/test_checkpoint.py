@@ -207,9 +207,20 @@ MUTATIONS = {
     "unhashable dtype": (lambda raw: _rewrite_header(raw, _set(["tensors", 0, "dtype"], [1])), ShapeMismatchError),
     "tensors is a string": (lambda raw: _rewrite_header(raw, _set(["tensors"], "zz")), CorruptDataError),
     "meta.seed not a number": (lambda raw: _rewrite_header(raw, _set(["meta", "seed"], "abc")), CorruptDataError),
+    "meta.seed a float": (lambda raw: _rewrite_header(raw, _set(["meta", "seed"], 2.7)), CorruptDataError),
+    "meta.name a number": (lambda raw: _rewrite_header(raw, _set(["meta", "name"], 5)), CorruptDataError),
+    "meta.lineage a string": (lambda raw: _rewrite_header(raw, _set(["meta", "lineage"], "abc")), CorruptDataError),
+    "meta.loss_curves holds a number": (
+        lambda raw: _rewrite_header(raw, _set(["meta", "loss_curves"], [1])), CorruptDataError),
+    "meta losses hold a string": (
+        lambda raw: _rewrite_header(raw, _set(["meta", "loss_curves"], [{"losses": ["x"]}])), CorruptDataError),
+    "meta key renamed": (lambda raw: _rewrite_header(
+        raw, lambda h: h["meta"].update(seeds=h["meta"].pop("seed"))), CorruptDataError),
     "config.vocab_size a float": (lambda raw: _rewrite_header(raw, _set(["config", "vocab_size"], 11.0)), ShapeMismatchError),
     "config.tied_lm_head an int": (lambda raw: _rewrite_header(raw, _set(["config", "tied_lm_head"], 1)), ShapeMismatchError),
     "NaN in a payload": (_nan_payload, CorruptDataError),
+    # read as is, a huge header length allocates that many bytes
+    "header length past the end": (lambda raw: raw[:8] + struct.pack("<Q", 1 << 62) + raw[16:], TruncatedDataError),
 }
 
 
@@ -222,3 +233,29 @@ def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, mutation):
     with pytest.raises(CheckpointError) as info:
         load(str(p))
     assert type(info.value) is error
+
+
+def test_seeded_mutations_raise_or_load_faithfully(tmp_path):
+    """Byte substitutions and truncations of a golden checkpoint: each one
+    raises a CheckpointError or loads what save writes back byte for byte."""
+    golden_path, mutant, back = tmp_path / "golden.cbdc", tmp_path / "mutant.cbdc", tmp_path / "back.cbdc"
+    save(make_ckpt(0), str(golden_path))
+    golden = golden_path.read_bytes()
+    head = 16 + struct.unpack("<Q", golden[8:16])[0]
+    rng = np.random.default_rng(0)
+    for i in range(2000):
+        raw = bytearray(golden)
+        if i % 4 == 3:
+            raw = raw[: rng.integers(len(raw))]
+        else:
+            # two in three substitutions hit the prefix and JSON header; every
+            # new byte is drawn from the header, so that many still parse
+            pos = rng.integers(head if i % 4 else len(raw))
+            raw[pos] = golden[16 + rng.integers(head - 16)]
+        mutant.write_bytes(raw)
+        try:
+            loaded = load(str(mutant))
+        except CheckpointError:
+            continue
+        save(loaded, str(back))
+        assert back.read_bytes() == raw, f"mutation {i} loaded a checkpoint that save writes differently"

@@ -1,3 +1,4 @@
+import copy
 import json
 import struct
 
@@ -25,7 +26,7 @@ def write_ckpt(path, config_dict, seed, name):
     save(Checkpoint(config, M.init_random(config, seed), Meta(name=name, seed=seed)), str(path))
 
 
-def chain_config(tmp_path, out_dir):
+def chain_config(out_dir):
     return {
         "source": {"recipe": {"config": BIG, "train": {"steps": 20, "seq_len": 24, "seed": 1}}},
         "anchors": [MID, SMALL],
@@ -39,11 +40,61 @@ def chain_config(tmp_path, out_dir):
     }
 
 
+def bridged_config(out_dir):
+    """A byte-vocabulary source bridged into a one-anchor char chain."""
+    byte_src = {**BIG, "n_layers": 2, "vocab_size": 260}
+    bridge_cfg = {**SMALL, "n_heads": 2, "d_model": 12, "d_ff": 24}
+    return {
+        "source": {"recipe": {"config": byte_src,
+                              "train": {"steps": 15, "seq_len": 32, "seed": 1, "sft_warm_epochs": 0}}},
+        "anchors": [SMALL],
+        "edges": [{"steps": 6, "seq_len": 32, "seed": 2, "sft_warm_epochs": 0}],
+        "bridge": {"source_tokenizer": "byte", "bridge_tokenizer": "char",
+                   "bridge_config": bridge_cfg, "n_samples": 6, "gen_max_len": 8, "seed": 3,
+                   "train": {"steps": 10, "seq_len": 32, "seed": 3, "sft_warm_epochs": 0}},
+        "corpus": CORPUS,
+        "tokenizer": "char",
+        "out_dir": str(out_dir),
+    }
+
+
+def _char_source_byte_bridge(cfg):
+    cfg["source"]["recipe"]["config"]["vocab_size"] = 100
+    cfg["bridge"].update(source_tokenizer="char", bridge_tokenizer="byte")
+    cfg["bridge"]["bridge_config"]["vocab_size"] = 260
+
+
+# configs that used to fail only once an earlier stage had trained: each base
+# config and the change that breaks it
+LATE_FAILURES = {
+    "edge 2 seq_len above max_seq_len": (chain_config, lambda c: c["edges"][1].update(seq_len=40)),
+    "recipe max_seq_len unlike the anchors'": (
+        chain_config, lambda c: c["source"]["recipe"]["config"].update(max_seq_len=48)),
+    "unknown bridge tokenizer": (bridged_config, lambda c: c["bridge"].update(bridge_tokenizer="chars")),
+    "bridge vocab unlike the anchors'": (bridged_config, _char_source_byte_bridge),
+    "gen_temperature 0": (bridged_config, lambda c: c["bridge"].update(gen_temperature=0)),
+    "gen_max_len fills the source context": (bridged_config, lambda c: c["bridge"].update(gen_max_len=40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+def test_chain_config_checked_before_training(tmp_path, capsys, case):
+    base, mutate = LATE_FAILURES[case]
+    out = tmp_path / "out"
+    cfg = copy.deepcopy(base(out))  # the base configs share the module's model dicts
+    mutate(cfg)
+    cfg_path = tmp_path / "chain.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["chain", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestChainCommand:
     def test_valid_config_produces_anchor_files(self, tmp_path):
         out = tmp_path / "out"
         cfg_path = tmp_path / "chain.json"
-        cfg_path.write_text(json.dumps(chain_config(tmp_path, out)))
+        cfg_path.write_text(json.dumps(chain_config(out)))
         assert main(["chain", str(cfg_path)]) == 0
         assert (out / "anchor-1.cbdc").exists()
         assert (out / "anchor-2.cbdc").exists()
@@ -53,7 +104,7 @@ class TestChainCommand:
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         for out in (out1, out2):
             cfg_path = tmp_path / f"chain-{out.name}.json"
-            cfg_path.write_text(json.dumps(chain_config(tmp_path, out)))
+            cfg_path.write_text(json.dumps(chain_config(out)))
             assert main(["chain", str(cfg_path)]) == 0
         for name in ("anchor-1.cbdc", "anchor-2.cbdc"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -67,21 +118,35 @@ class TestChainCommand:
 
     def test_missing_field_exit_2_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
-        cfg = chain_config(tmp_path, tmp_path / "out")
+        cfg = chain_config(tmp_path / "out")
         del cfg["edges"]
         cfg_path.write_text(json.dumps(cfg))
         assert main(["chain", str(cfg_path)]) == 2
         assert "edges" in capsys.readouterr().err
 
     def test_growing_anchors_exit_2(self, tmp_path, capsys):
-        cfg = chain_config(tmp_path, tmp_path / "out")
+        cfg = chain_config(tmp_path / "out")
         cfg["anchors"] = [SMALL, MID]
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["chain", str(cfg_path)]) == 2
 
+    def test_divergent_edge_2_keeps_anchor_1(self, tmp_path, capsys):
+        clean, failed = tmp_path / "clean", tmp_path / "failed"
+        cfg_path = tmp_path / "chain.json"
+        cfg_path.write_text(json.dumps(chain_config(clean)))
+        assert main(["chain", str(cfg_path)]) == 0
+        cfg = chain_config(failed)
+        cfg["edges"][1].update(lr=1e30, grad_clip=None)
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["chain", str(cfg_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: edge 2 ")
+        assert sorted(f.name for f in failed.iterdir()) == ["anchor-1.cbdc", "source.cbdc"]
+        assert (failed / "anchor-1.cbdc").read_bytes() == (clean / "anchor-1.cbdc").read_bytes()
+
     def test_negative_grad_clip_exit_2_named(self, tmp_path, capsys):
-        cfg = chain_config(tmp_path, tmp_path / "out")
+        cfg = chain_config(tmp_path / "out")
         cfg["edges"][1]["grad_clip"] = -1
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -98,8 +163,14 @@ def _train_argv(tmp_path, model=SMALL, corpus=CORPUS):
 
 def _chain_argv(tmp_path, **updates):
     cfg_path = tmp_path / "chain.json"
-    cfg_path.write_text(json.dumps({**chain_config(tmp_path, tmp_path / "out"), **updates}))
+    cfg_path.write_text(json.dumps({**chain_config(tmp_path / "out"), **updates}))
     return ["chain", str(cfg_path)]
+
+
+def _edges_with(i, **update):
+    edges = chain_config("out")["edges"]
+    edges[i] = {**edges[i], **update}
+    return edges
 
 
 # each malformed spec, and the start of the error line that must name its field
@@ -119,6 +190,12 @@ MALFORMED_SPECS = {
     "chain anchors an int": (lambda t: _chain_argv(t, anchors=5), "anchors:"),
     "chain anchor size a float": (lambda t: _chain_argv(t, anchors=[{**MID, "d_model": 12.0}, SMALL]),
                                   "anchors[0]: ModelConfig.d_model"),
+    "chain edge seed a float": (lambda t: _chain_argv(t, edges=_edges_with(1, seed=2.5)),
+                                "edges[1]: DistillConfig.seed"),
+    "chain edge init_from_teacher a string": (lambda t: _chain_argv(t, edges=_edges_with(0, init_from_teacher="no")),
+                                              "edges[0]: DistillConfig.init_from_teacher"),
+    "chain bridge n_samples a float": (lambda t: _chain_argv(t, bridge={**bridged_config(t)["bridge"], "n_samples": 2.5}),
+                                       "bridge: BridgeSpec.n_samples"),
 }
 
 
@@ -131,22 +208,7 @@ def test_malformed_spec_exit_2_named(tmp_path, capsys, case):
 class TestBridgedChain:
     def test_bridge_produces_anchor_zero(self, tmp_path):
         out = tmp_path / "out"
-        byte_src = {"n_layers": 2, "n_heads": 2, "head_dim": 4, "d_model": 16, "d_ff": 32,
-                    "vocab_size": 260, "max_seq_len": 32, "tied_lm_head": True}
-        bridge_cfg = {"n_layers": 1, "n_heads": 2, "head_dim": 4, "d_model": 12, "d_ff": 24,
-                      "vocab_size": 100, "max_seq_len": 32, "tied_lm_head": True}
-        cfg = {
-            "source": {"recipe": {"config": byte_src,
-                                  "train": {"steps": 15, "seq_len": 32, "seed": 1, "sft_warm_epochs": 0}}},
-            "anchors": [SMALL],
-            "edges": [{"steps": 6, "seq_len": 32, "seed": 2, "sft_warm_epochs": 0}],
-            "bridge": {"source_tokenizer": "byte", "bridge_tokenizer": "char",
-                       "bridge_config": bridge_cfg, "n_samples": 6, "gen_max_len": 8, "seed": 3,
-                       "train": {"steps": 10, "seq_len": 32, "seed": 3, "sft_warm_epochs": 0}},
-            "corpus": CORPUS,
-            "tokenizer": "char",
-            "out_dir": str(out),
-        }
+        cfg = bridged_config(out)
         cfg_path = tmp_path / "chain.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["chain", str(cfg_path)]) == 0
@@ -158,7 +220,7 @@ class TestBridgedChain:
         assert any("anchor-0" in entry for entry in anchor.meta.lineage)
 
     def test_equal_bridge_tokenizers_rejected(self, tmp_path):
-        cfg = chain_config(tmp_path, tmp_path / "out")
+        cfg = chain_config(tmp_path / "out")
         cfg["bridge"] = {"source_tokenizer": "char", "bridge_tokenizer": "char",
                          "bridge_config": SMALL, "n_samples": 4}
         cfg_path = tmp_path / "chain.json"
@@ -368,7 +430,7 @@ class TestOutDirEnv:
     def test_cbd_out_dir_default(self, tmp_path, monkeypatch):
         out = tmp_path / "env-out"
         monkeypatch.setenv("CBD_OUT_DIR", str(out))
-        cfg = chain_config(tmp_path, out)
+        cfg = chain_config(out)
         del cfg["out_dir"]
         cfg_path = tmp_path / "chain.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -381,7 +443,7 @@ class TestSeedOverride:
         out1, out2, out3 = tmp_path / "o1", tmp_path / "o2", tmp_path / "o3"
         for out, seed in ((out1, "77"), (out2, "77"), (out3, "78")):
             cfg_path = tmp_path / f"c-{out.name}.json"
-            cfg_path.write_text(json.dumps(chain_config(tmp_path, out)))
+            cfg_path.write_text(json.dumps(chain_config(out)))
             assert main(["--seed", seed, "chain", str(cfg_path)]) == 0
         assert (out1 / "anchor-1.cbdc").read_bytes() == (out2 / "anchor-1.cbdc").read_bytes()
         assert (out1 / "anchor-1.cbdc").read_bytes() != (out3 / "anchor-1.cbdc").read_bytes()

@@ -12,12 +12,11 @@ from chainkd.checkpoint import Checkpoint, Meta
 from chainkd.distill import (
     AdamState,
     BridgeSpec,
-    ChainSpec,
     DistillConfig,
     DistillError,
     DivergenceError,
-    SourceRecipe,
     adam_step,
+    check_chain,
     distill_edge,
     forward_kl_loss,
     reverse_kl_loss,
@@ -202,10 +201,18 @@ class TestDistillEdge:
         ("beta2", 1.5),
         ("eps", 0.0),  # a zero second moment divides by zero at step 1
         ("eps", -1e-8),
+        # field types, checked as ModelConfig checks its own: a float seed fails
+        # only in training, a float step count in islice, "no" is truthy
+        ("seed", 2.5),
+        ("steps", 2.5),
+        ("batch", True),
+        ("seq_len", 24.0),
+        ("sft_warm_epochs", 1.0),
+        ("init_from_teacher", "no"),
     ])
     def test_adam_and_clip_settings_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
-            DistillConfig(steps=1, **{field: value})
+            DistillConfig(**{"steps": 1, field: value})
 
     def test_adam_and_clip_boundaries_accepted(self):
         DistillConfig(steps=1, beta1=0.0, beta2=0.0, eps=1e-30, grad_clip=None)
@@ -231,10 +238,7 @@ class TestChain:
         c = corpus()
         teacher = ckpt(SMALL_T, 6, "source")
         e = DistillConfig(steps=8, seed=2, sft_warm_epochs=0)
-        spec = ChainSpec(anchors=[SMALL_S], edges=[e], source_path="unused")
-        spec.source_path = None
-        spec.source_recipe = SourceRecipe(SMALL_T, DistillConfig(steps=1))
-        chain = run_stepwise_chain(spec, c, CHAR, source=teacher)
+        chain = list(run_stepwise_chain(teacher, [SMALL_S], [e], c, CHAR))
         direct = run_direct_distill(teacher, SMALL_S, c, CHAR, e, name="anchor-1")
         assert all(
             chain[0].params[k].data.tobytes() == direct.params[k].data.tobytes() for k in direct.params
@@ -244,12 +248,8 @@ class TestChain:
         c = corpus()
         teacher = ckpt(cfg(3, 2, 16, 32), 6, "source")
         mid = cfg(2, 2, 12, 24)
-        spec = ChainSpec(
-            anchors=[mid, SMALL_S],
-            edges=[DistillConfig(steps=6, sft_warm_epochs=0), DistillConfig(steps=6, sft_warm_epochs=0)],
-            source_recipe=SourceRecipe(SMALL_T, DistillConfig(steps=1)),
-        )
-        chain = run_stepwise_chain(spec, c, CHAR, source=teacher)
+        edges = [DistillConfig(steps=6, sft_warm_epochs=0), DistillConfig(steps=6, sft_warm_epochs=0)]
+        chain = list(run_stepwise_chain(teacher, [mid, SMALL_S], edges, c, CHAR))
         assert [a.meta.name for a in chain] == ["anchor-1", "anchor-2"]
         assert len(chain[0].meta.lineage) == 1
         assert len(chain[1].meta.lineage) == 2
@@ -258,23 +258,16 @@ class TestChain:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ChainSpec(anchors=[SMALL_S], edges=[], source_path="x").validate()
+            check_chain(SMALL_T, [SMALL_S], [])
         with pytest.raises(ValueError):
-            ChainSpec(
-                anchors=[SMALL_S, SMALL_T],  # increasing size
-                edges=[DistillConfig(steps=1), DistillConfig(steps=1)],
-                source_path="x",
-            ).validate()
+            check_chain(SMALL_T, [SMALL_S, SMALL_T], [DistillConfig(steps=1), DistillConfig(steps=1)])  # increasing size
 
     def test_edge_failure_names_edge(self):
         c = corpus()
         teacher = ckpt(SMALL_T, 6, "source")
         bad = cfg(1, 1, 8, 16, vocab=260)  # vocab mismatch fails edge 1
-        spec = ChainSpec(anchors=[bad], edges=[DistillConfig(steps=1)], source_path="x")
-        spec.source_path = None
-        spec.source_recipe = SourceRecipe(SMALL_T, DistillConfig(steps=1))
         with pytest.raises(DistillError, match="edge 1"):
-            run_stepwise_chain(spec, c, CHAR, source=teacher)
+            next(run_stepwise_chain(teacher, [bad], [DistillConfig(steps=1)], c, CHAR))
 
 
 class TestSeqKD:
@@ -305,6 +298,11 @@ class TestBridge:
     def test_mismatched_tokenizers_enforced(self):
         with pytest.raises(ValueError):
             BridgeSpec("char", "char", SMALL_S, n_samples=4)
+
+    @pytest.mark.parametrize("field,value", [("n_samples", 2.5), ("gen_max_len", 8.0), ("seed", True)])
+    def test_spec_field_types_validated(self, field, value):
+        with pytest.raises(ValueError, match=f"BridgeSpec.{field}"):
+            BridgeSpec("byte", "char", SMALL_S, **{"n_samples": 4, field: value})
 
     def test_toy_bridge_reduces_ce(self):
         src_cfg = cfg(2, 2, 16, 32, vocab=260)

@@ -26,6 +26,7 @@ SAMPLES = [
     evaluate.EvalError("no curve"),
     distill.DistillError("edge failed"),
     distill.DivergenceError(3, "x"),
+    distill.InvalidConfigError("edge 2: seq_len 40 exceeds a model's max_seq_len"),
     cli.ConfigError("missing field"),
 ]
 
