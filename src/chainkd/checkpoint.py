@@ -110,9 +110,6 @@ class Checkpoint:
     def validate(self) -> None:
         validate_params(self.config, self.params)
 
-    def count_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
     """Bitwise equality of config, payloads, and provenance."""

@@ -40,6 +40,7 @@ from .surgery import (
     plan_expand,
     plan_subset,
 )
+from .tensor import NonFiniteError
 from .tokenizers import get_vocab
 from .transformer import ModelConfig
 
@@ -109,21 +110,24 @@ def _corpus_from_spec(d: dict, path: str, seed_override: int | None) -> D.Corpus
     params = _object(d.get("params", {}), f"{path}.params")
     if not isinstance(params.get("alphabet", ""), str):
         raise ConfigError(f"{path}.params.alphabet: expected a string")
+
+    def number(key: str, default, kinds: tuple[type, ...] = (int,)):
+        value = params.get(key, default)
+        if type(value) not in kinds:  # so a bool is not taken for a number
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise ConfigError(f"{path}.params.{key}: expected {expected}, got {value!r}")
+        return value
+
     try:
         if kind == "markov":
-            return D.gen_markov(
-                seed,
-                n_docs=int(params.get("n_docs", 200)),
-                doc_len=int(params.get("doc_len", 100)),
-                order=int(params.get("order", 2)),
-                alphabet=params.get("alphabet", "abcdefgh"),
-            )
+            return D.gen_markov(seed, n_docs=number("n_docs", 200), doc_len=number("doc_len", 100),
+                                order=number("order", 2), alphabet=params.get("alphabet", "abcdefgh"))
         if kind == "arithmetic":
-            return D.gen_arithmetic(seed, int(params.get("n_docs", 200)), int(params.get("max_operand", 99)))
+            return D.gen_arithmetic(seed, number("n_docs", 200), number("max_operand", 99))
         if kind == "file":
             if not isinstance(d.get("path"), str):
                 raise ConfigError(f"{path}.path: a string is required for kind 'file'")
-            return D.load_text(d["path"], float(params.get("split_ratio", 0.9)), seed)
+            return D.load_text(d["path"], number("split_ratio", 0.9, (int, float)), seed)
     except (OSError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
     raise ConfigError(f"{path}.kind: unknown corpus kind {kind!r}")
@@ -203,7 +207,7 @@ def cmd_chain(args) -> int:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bridge: {e}") from e
         bridge_train = _distill_config(b.get("train", {"steps": 1000}), "bridge.train", args.seed)
-        check_bridge(bridge_spec, source_cfg)
+        check_bridge(bridge_spec, source_cfg, bridge_train)
     # the bridge, when there is one, is the first edge's teacher
     check_chain(source_cfg if bridge_spec is None else bridge_spec.bridge_config, anchors, edges)
 
@@ -382,10 +386,9 @@ def cmd_inspect(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_corpus_args(p, tokenizer=True):
+def _add_corpus_args(p):
     p.add_argument("--corpus", required=True, help="corpus spec: JSON file or inline JSON")
-    if tokenizer:
-        p.add_argument("--tokenizer", choices=["byte", "char"], default=None)
+    p.add_argument("--tokenizer", choices=["byte", "char"], default=None)
 
 
 def _add_train_args(p):
@@ -499,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
     except E.EvalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EVAL
+    except NonFiniteError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

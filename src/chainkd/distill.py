@@ -16,7 +16,7 @@ import mmap
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -54,11 +54,15 @@ class DivergenceError(DistillError):
 LOSS_KINDS = ("reverse_kl", "forward_kl", "ce")
 
 
-def _check_types(config, kind: type, names: tuple[str, ...]) -> None:
+_NUMBER = (int, float)
+
+
+def _check_types(config, kinds: tuple[type, ...], names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(config, name)
-        if type(value) is not kind:  # so a bool is not taken for an int
-            raise ValueError(f"{type(config).__name__}.{name} must be {kind.__name__}, got {value!r}")
+        if type(value) not in kinds:  # so a bool is not taken for an int or a float
+            expected = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+            raise ValueError(f"{type(config).__name__}.{name} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -78,8 +82,10 @@ class DistillConfig:
     init_from_teacher: bool = True
 
     def __post_init__(self):
-        _check_types(self, int, ("steps", "batch", "seq_len", "seed", "sft_warm_epochs"))
-        _check_types(self, bool, ("init_from_teacher",))
+        _check_types(self, (int,), ("steps", "batch", "seq_len", "seed", "sft_warm_epochs"))
+        _check_types(self, (bool,), ("init_from_teacher",))
+        _check_types(self, _NUMBER, ("lr", "temperature", "beta1", "beta2", "eps"))
+        _check_types(self, (*_NUMBER, type(None)), ("grad_clip",))
         if self.steps < 0 or self.sft_warm_epochs < 0:
             raise ValueError("steps and sft_warm_epochs must be >= 0")
         if self.batch < 1 or self.seq_len < 2:
@@ -111,7 +117,8 @@ class BridgeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_types(self, int, ("n_samples", "gen_max_len", "seed"))
+        _check_types(self, (int,), ("n_samples", "gen_max_len", "seed"))
+        _check_types(self, _NUMBER, ("gen_temperature",))
         if self.source_tokenizer == self.bridge_tokenizer:
             raise ValueError("bridge requires two different tokenizers")
         if self.n_samples < 1:
@@ -147,9 +154,10 @@ def check_chain(source_cfg: ModelConfig, anchors: list[ModelConfig], edges: list
             raise InvalidConfigError(f"edge {idx}: {e}") from None
 
 
-def check_bridge(spec: BridgeSpec, source_cfg: ModelConfig) -> None:
+def check_bridge(spec: BridgeSpec, source_cfg: ModelConfig, cfg: DistillConfig) -> None:
     """Raise InvalidConfigError unless run_bridge can sample from a source of
-    source_cfg: tokenizers that fit both models, temperature > 0, prompt room."""
+    source_cfg and train the bridge by cfg: tokenizers that fit both models,
+    temperature > 0, prompt room, windows the bridge model can hold."""
     for what, name, config in (("source", spec.source_tokenizer, source_cfg),
                                ("bridge", spec.bridge_tokenizer, spec.bridge_config)):
         try:
@@ -158,11 +166,14 @@ def check_bridge(spec: BridgeSpec, source_cfg: ModelConfig) -> None:
             raise InvalidConfigError(f"{what} tokenizer: {e}") from None
         if config.vocab_size != size:
             raise InvalidConfigError(f"{what} vocab_size {config.vocab_size} != tokenizer '{name}' ({size})")
-    if not (type(spec.gen_temperature) in (int, float) and spec.gen_temperature > 0):
-        raise InvalidConfigError(f"gen_temperature must be a number > 0, got {spec.gen_temperature!r}")
+    if not spec.gen_temperature > 0:
+        raise InvalidConfigError(f"gen_temperature must be > 0, got {spec.gen_temperature!r}")
     if spec.gen_max_len >= source_cfg.max_seq_len:
         raise InvalidConfigError(f"gen_max_len {spec.gen_max_len} leaves no room for the prompt"
                                  f" within the source's max_seq_len {source_cfg.max_seq_len}")
+    if cfg.seq_len > spec.bridge_config.max_seq_len:
+        raise InvalidConfigError(f"seq_len {cfg.seq_len} exceeds the bridge's max_seq_len"
+                                 f" {spec.bridge_config.max_seq_len}")
 
 
 # -- losses ---------------------------------------------------------------------
@@ -371,12 +382,6 @@ def _teacher_logit_cache(teacher: Checkpoint, tokens: np.ndarray, cfg: DistillCo
     return out
 
 
-def _trainable(params: M.ParamSet) -> M.ParamSet:
-    for p in params.values():
-        p.requires_grad = True
-    return params
-
-
 def ce_loss(logits: Tensor, batch: tuple) -> Tensor:
     """Masked next-token cross-entropy of a (tokens, targets, mask) batch."""
     return M.loss_ce(logits, batch[1], batch[2])
@@ -404,24 +409,21 @@ def _step(config: ModelConfig, params: M.ParamSet, batch: tuple, loss, cfg: Dist
     return params, float(value.data)
 
 
-def fit(
-    config: ModelConfig,
-    params: M.ParamSet,
-    batches,
-    loss,
-    cfg: DistillConfig,
-    state: AdamState | None = None,
-    first_step: int = 1,
-) -> tuple[M.ParamSet, list[float]]:
+def fit(config: ModelConfig, params: M.ParamSet, batches, loss, cfg: DistillConfig,
+        on_step=None) -> tuple[M.ParamSet, list[float]]:
     """The training loop: one clipped Adam step on `loss(logits, batch)` per
-    batch, where batch[0] holds the input tokens.  Steps are numbered from
-    `first_step` (a DivergenceError names the failing one); passing `state`
-    continues an earlier run's Adam moments."""
-    state = AdamState() if state is None else state
+    batch, where batch[0] holds the input tokens, from a fresh Adam state.
+    It trains its own wrappers of the arrays in `params` and never changes
+    the caller's tensors.  Steps are numbered from 1 (a DivergenceError
+    names the failing one); `on_step(step, params)` runs after each step."""
+    params = {name: T._wrap(p.data, True) for name, p in params.items()}
+    state = AdamState()
     losses = []
-    for step, batch in enumerate(batches, first_step):
+    for step, batch in enumerate(batches, 1):
         params, value = _step(config, params, batch, loss, cfg, state, step)
         losses.append(value)
+        if on_step is not None:
+            on_step(step, params)
     return params, losses
 
 
@@ -446,25 +448,14 @@ def eval_ce(config: ModelConfig, params: M.ParamSet, docs: list[str], vocab: Voc
     return mean_nll(config, params, D.in_order(D.token_windows(docs, vocab, seq_len), batch))
 
 
-def train_lm(
-    config: ModelConfig,
-    corpus: D.Corpus,
-    vocab: Vocabulary,
-    cfg: DistillConfig,
-    init: Checkpoint | None = None,
-    name: str = "trained",
-) -> Checkpoint:
-    """Plain cross-entropy training (source recipes, SFT, rand baselines)."""
-    if init is not None:
-        params = _trainable(dict(init.params))
-        meta = init.meta
-    else:
-        params = _trainable(M.init_random(config, cfg.seed))
-        meta = Meta(name=name, seed=cfg.seed)
+def train_lm(config: ModelConfig, corpus: D.Corpus, vocab: Vocabulary, cfg: DistillConfig,
+             name: str = "trained") -> Checkpoint:
+    """Plain cross-entropy training from a random init (source recipes,
+    rand baselines)."""
     stream = D.shuffled(D.token_windows(corpus.train_docs, vocab, cfg.seq_len), cfg.batch, cfg.seed)
-    params, losses = fit(config, params, islice(stream, cfg.steps), ce_loss, cfg)
-    meta = meta.child(f"trained:ce steps={cfg.steps} seed={cfg.seed}", name=name,
-                      step_count=meta.step_count + cfg.steps)
+    params, losses = fit(config, M.init_random(config, cfg.seed), islice(stream, cfg.steps), ce_loss, cfg)
+    meta = Meta(name=name, seed=cfg.seed).child(f"trained:ce steps={cfg.steps} seed={cfg.seed}",
+                                                step_count=cfg.steps)
     meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": "ce", "losses": losses})
     return Checkpoint(config, params, meta)
 
@@ -481,46 +472,45 @@ def distill_edge(
     transform), optionally SFT-warm it, then distill for cfg.steps."""
     check_edge(teacher.config, student_config, cfg)
     if cfg.init_from_teacher:
-        init = apply_transform(teacher, plan_subset(teacher.config, student_config))
+        params = apply_transform(teacher, plan_subset(teacher.config, student_config)).params
         init_stage = "init=subset-of-teacher"
-        params = _trainable(dict(init.params))
     else:
+        params = M.init_random(student_config, cfg.seed)
         init_stage = "init=random"
-        params = _trainable(M.init_random(student_config, cfg.seed))
 
     losses: list[float] = []
-    sft_losses: list[float] = []
+    n_sft = 0
     if cfg.steps > 0:
         columns = D.token_windows(corpus.train_docs, vocab, cfg.seq_len)
-        # SFT warm-up is the stream's first sft_warm_epochs epochs; KD then
-        # draws the same stream again from epoch 0, on the same Adam state
-        state = AdamState()
-        n_sft = cfg.sft_warm_epochs * (len(columns[0]) // cfg.batch)
-        sft = islice(D.shuffled(columns, cfg.batch, cfg.seed), n_sft)
-        params, sft_losses = fit(student_config, params, sft, ce_loss, cfg, state)
-        loss = ce_loss
+        kd_columns = columns
         if cfg.loss_kind != "ce":
             # teacher log-probs depend only on the window, so score every
             # window once up front, as a fourth column, instead of each step
-            columns += (_teacher_logit_cache(teacher, columns[0], cfg),)
-            reverse = cfg.loss_kind == "reverse_kl"
-            inv_temperature = 1.0 / cfg.temperature
+            kd_columns += (_teacher_logit_cache(teacher, columns[0], cfg),)
+        reverse = cfg.loss_kind == "reverse_kl"
+        inv_temperature = 1.0 / cfg.temperature
 
-            def loss(logits: Tensor, batch: tuple) -> Tensor:
-                return T.masked_kl(logits * inv_temperature, batch[3], batch[2], reverse)
+        def loss(logits: Tensor, batch: tuple) -> Tensor:
+            # SFT batches and CE-kind KD batches carry no teacher column
+            if len(batch) == 3:
+                return ce_loss(logits, batch)
+            return T.masked_kl(logits * inv_temperature, batch[3], batch[2], reverse)
 
-        kd = islice(D.shuffled(columns, cfg.batch, cfg.seed), cfg.steps)
-        params, losses = fit(student_config, params, kd, loss, cfg, state, first_step=len(sft_losses) + 1)
+        # SFT warm-up is the stream's first sft_warm_epochs epochs; KD then
+        # draws the same stream again from epoch 0, on the same Adam state
+        n_sft = cfg.sft_warm_epochs * (len(columns[0]) // cfg.batch)
+        sft = islice(D.shuffled(columns, cfg.batch, cfg.seed), n_sft)
+        kd = islice(D.shuffled(kd_columns, cfg.batch, cfg.seed), cfg.steps)
+        params, losses = fit(student_config, params, chain(sft, kd), loss, cfg)
 
     stage = (
         f"distilled-from:{teacher.meta.name} loss={cfg.loss_kind} steps={cfg.steps}"
         f" sft_epochs={cfg.sft_warm_epochs} temperature={cfg.temperature:g} {init_stage} seed={cfg.seed}"
     )
-    meta = teacher.meta.child(stage, name=name, seed=cfg.seed,
-                              step_count=teacher.meta.step_count + len(sft_losses) + len(losses))
-    if sft_losses:
-        meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": "sft", "losses": sft_losses})
-    meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": cfg.loss_kind, "losses": losses})
+    meta = teacher.meta.child(stage, name=name, seed=cfg.seed, step_count=teacher.meta.step_count + len(losses))
+    if n_sft:
+        meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": "sft", "losses": losses[:n_sft]})
+    meta.loss_curves.append({"stage": len(meta.lineage) - 1, "kind": cfg.loss_kind, "losses": losses[n_sft:]})
     return Checkpoint(student_config, params, meta)
 
 
@@ -615,7 +605,7 @@ def run_bridge(spec: BridgeSpec, source: Checkpoint, corpus: D.Corpus, cfg: Dist
     """SeqKD across the vocabulary gap: sample from the source with its own
     tokenizer, re-encode with the bridge tokenizer, train the bridge by CE
     on the re-encoded pairs.  The result is anchor zero of the chain."""
-    check_bridge(spec, source.config)
+    check_bridge(spec, source.config, cfg)
     src_vocab = get_vocab(spec.source_tokenizer)
     bridge_vocab = get_vocab(spec.bridge_tokenizer)
     docs = corpus.train_docs
@@ -625,7 +615,7 @@ def run_bridge(spec: BridgeSpec, source: Checkpoint, corpus: D.Corpus, cfg: Dist
     pairs = seqkd_generate(source, src_vocab, prompts, spec.gen_temperature, spec.gen_max_len, spec.seed)
     columns = _pair_windows(pairs, bridge_vocab, cfg.seq_len)
     config = spec.bridge_config
-    params = _trainable(M.init_random(config, cfg.seed))
+    params = M.init_random(config, cfg.seed)
     ce_step0 = mean_nll(config, params, D.in_order(columns, cfg.batch))
     draws = D.shuffled(columns, min(cfg.batch, len(columns[0])), cfg.seed)
     params, losses = fit(config, params, islice(draws, cfg.steps), ce_loss, cfg)

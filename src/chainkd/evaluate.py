@@ -18,7 +18,7 @@ import numpy as np
 from . import data as D
 from . import transformer as M
 from .checkpoint import Checkpoint
-from .distill import AdamState, DistillConfig, _trainable, ce_loss, eval_ce, fit, mean_nll
+from .distill import DistillConfig, ce_loss, eval_ce, fit, mean_nll
 from .surgery import interpolate
 from .tokenizers import Vocabulary
 from .transformer import ModelConfig
@@ -140,7 +140,7 @@ def speedup(curve_a: Curve, curve_b: Curve, target_loss: float) -> float:
     return max(b, 1) / max(a, 1)
 
 
-def training_curves(ckpt: Checkpoint, name: str = "training") -> EvalReport:
+def training_curves(ckpt: Checkpoint) -> EvalReport:
     """Export the loss curves a checkpoint accumulated during training."""
     curves: dict[str, Curve] = {}
     metrics: dict[str, float] = {}
@@ -151,7 +151,7 @@ def training_curves(ckpt: Checkpoint, name: str = "training") -> EvalReport:
         if losses:
             metrics[f"{label}_final"] = float(losses[-1])
     return EvalReport(
-        name=name,
+        name="training",
         curves=curves,
         metrics=metrics,
         provenance={"checkpoint": ckpt.meta.name, "lineage": list(ckpt.meta.lineage)},
@@ -168,20 +168,18 @@ def _train_with_val_curve(
     cfg: DistillConfig,
     eval_every: int,
 ) -> tuple[Curve, list[float]]:
-    """CE-train a copy of the checkpoint on the train windows, recording the
-    val windows' loss at step 0, every `eval_every` steps and the last step,
-    plus the per-step training losses."""
+    """CE-train the checkpoint's parameters on the train windows, recording
+    the val windows' loss at step 0, every `eval_every` steps and the last
+    step, plus the per-step training losses."""
     config = ckpt.config
-    params = _trainable(dict(ckpt.params))
-    val_curve: Curve = [(0, mean_nll(config, params, D.in_order(val, cfg.batch)))]
-    train_losses: list[float] = []
-    state = AdamState()
-    stream = D.shuffled(train, cfg.batch, cfg.seed)
-    for done in range(0, cfg.steps, eval_every):
-        chunk = min(eval_every, cfg.steps - done)
-        params, losses = fit(config, params, islice(stream, chunk), ce_loss, cfg, state, first_step=done + 1)
-        train_losses += losses
-        val_curve.append((done + chunk, mean_nll(config, params, D.in_order(val, cfg.batch))))
+    val_curve: Curve = [(0, mean_nll(config, ckpt.params, D.in_order(val, cfg.batch)))]
+
+    def record_val(step: int, params: M.ParamSet) -> None:
+        if step % eval_every == 0 or step == cfg.steps:
+            val_curve.append((step, mean_nll(config, params, D.in_order(val, cfg.batch))))
+
+    stream = islice(D.shuffled(train, cfg.batch, cfg.seed), cfg.steps)
+    _, train_losses = fit(config, ckpt.params, stream, ce_loss, cfg, on_step=record_val)
     return val_curve, train_losses
 
 

@@ -74,6 +74,7 @@ LATE_FAILURES = {
     "bridge vocab unlike the anchors'": (bridged_config, _char_source_byte_bridge),
     "gen_temperature 0": (bridged_config, lambda c: c["bridge"].update(gen_temperature=0)),
     "gen_max_len fills the source context": (bridged_config, lambda c: c["bridge"].update(gen_max_len=40)),
+    "bridge seq_len above the bridge's max_seq_len": (bridged_config, lambda c: c["bridge"]["train"].update(seq_len=40)),
 }
 
 
@@ -173,6 +174,16 @@ def _edges_with(i, **update):
     return edges
 
 
+def _corpus_with(**params):
+    return {**CORPUS, "params": {**CORPUS["params"], **params}}
+
+
+def _text_corpus(tmp_path, **params):
+    path = tmp_path / "docs.txt"
+    path.write_text("\n\n".join(["abcd" * 10] * 20))
+    return {"kind": "file", "path": str(path), "params": params}
+
+
 # each malformed spec, and the start of the error line that must name its field
 MALFORMED_SPECS = {
     "corpus params a list": (lambda t: _train_argv(t, corpus={**CORPUS, "params": [1]}), "corpus.params:"),
@@ -196,6 +207,19 @@ MALFORMED_SPECS = {
                                               "edges[0]: DistillConfig.init_from_teacher"),
     "chain bridge n_samples a float": (lambda t: _chain_argv(t, bridge={**bridged_config(t)["bridge"], "n_samples": 2.5}),
                                        "bridge: BridgeSpec.n_samples"),
+    "chain bridge gen_temperature a string": (
+        lambda t: _chain_argv(t, bridge={**bridged_config(t)["bridge"], "gen_temperature": "1"}),
+        "bridge: BridgeSpec.gen_temperature"),
+    "chain edge lr a bool": (lambda t: _chain_argv(t, edges=_edges_with(0, lr=True)), "edges[0]: DistillConfig.lr"),
+    # corpus numbers are checked, not coerced: each of these used to run
+    "markov n_docs a float": (lambda t: _train_argv(t, corpus=_corpus_with(n_docs=40.0)), "corpus.params.n_docs:"),
+    "markov n_docs a string": (lambda t: _train_argv(t, corpus=_corpus_with(n_docs="7")), "corpus.params.n_docs:"),
+    "markov doc_len a bool": (lambda t: _train_argv(t, corpus=_corpus_with(doc_len=True)), "corpus.params.doc_len:"),
+    "markov order a float": (lambda t: _train_argv(t, corpus=_corpus_with(order=1.0)), "corpus.params.order:"),
+    "arithmetic max_operand a float": (lambda t: _train_argv(
+        t, corpus={"kind": "arithmetic", "params": {"n_docs": 40, "max_operand": 9.5}}), "corpus.params.max_operand:"),
+    "file split_ratio a string": (lambda t: _train_argv(t, corpus=_text_corpus(t, split_ratio="0.5")),
+                                  "corpus.params.split_ratio:"),
 }
 
 
@@ -424,6 +448,21 @@ class TestDivergenceExit:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: divergence at step 1:") and "Traceback" not in err
+
+
+class TestNumericExit:
+    def test_non_finite_eval_exits_4_without_traceback(self, tmp_path, capsys):
+        # finite but huge FFN weights overflow the forward outside any training
+        config = ModelConfig.from_dict(SMALL)
+        params = M.init_random(config, 0)
+        for name in ("L0.ffn.w1", "L0.ffn.w2"):
+            params[name] = Tensor(np.full(params[name].shape, 1e30, dtype=np.float32))
+        path = tmp_path / "huge.cbdc"
+        save(Checkpoint(config, params, Meta(name="huge", seed=0)), str(path))
+        code = main(["eval", "--checkpoint", str(path), "--corpus", json.dumps(CORPUS), "--tokenizer", "char"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: operation 'linear' produced non-finite values") and "Traceback" not in err
 
 
 class TestOutDirEnv:

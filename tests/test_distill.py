@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -209,6 +210,15 @@ class TestDistillEdge:
         ("seq_len", 24.0),
         ("sft_warm_epochs", 1.0),
         ("init_from_teacher", "no"),
+        # a bool would act as 1.0, a string fails only in a comparison
+        ("lr", True),
+        ("lr", "0.1"),
+        ("temperature", "2"),
+        ("beta1", False),
+        ("beta2", "0.9"),
+        ("eps", True),
+        ("grad_clip", True),
+        ("grad_clip", "1"),
     ])
     def test_adam_and_clip_settings_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -299,7 +309,8 @@ class TestBridge:
         with pytest.raises(ValueError):
             BridgeSpec("char", "char", SMALL_S, n_samples=4)
 
-    @pytest.mark.parametrize("field,value", [("n_samples", 2.5), ("gen_max_len", 8.0), ("seed", True)])
+    @pytest.mark.parametrize("field,value", [("n_samples", 2.5), ("gen_max_len", 8.0), ("seed", True),
+                                             ("gen_temperature", True), ("gen_temperature", "1")])
     def test_spec_field_types_validated(self, field, value):
         with pytest.raises(ValueError, match=f"BridgeSpec.{field}"):
             BridgeSpec("byte", "char", SMALL_S, **{"n_samples": 4, field: value})
@@ -344,11 +355,97 @@ class TestDivergence:
         # and so does the loss, but GELU's backward computes 0 * inf = NaN
         params = M.init_random(SMALL_S, 0)
         params["L0.ffn.w1"] = Tensor(np.full(params["L0.ffn.w1"].shape, 1e37, dtype=np.float32))
-        init = Checkpoint(SMALL_S, params, Meta(name="init", seed=0))
         nan_cfg = DistillConfig(steps=3, batch=2, seq_len=16, grad_clip=grad_clip, seed=0)
+        batches = D.shuffled(D.token_windows(corpus().train_docs, CHAR, 16), 2, 0)
         with pytest.raises(DivergenceError) as info:
-            K.train_lm(SMALL_S, corpus(), CHAR, nan_cfg, init=init)
+            K.fit(SMALL_S, params, islice(batches, 3), K.ce_loss, nan_cfg)
         assert info.value.step == 1
         op = "clip_global_norm" if grad_clip is not None else "adam_step"
         assert f"operation '{op}'" in str(info.value)
         assert "embed.tok" in str(info.value)  # the first parameter, in order, whose gradient is NaN
+
+
+def _untouched(*ckpts):
+    """A snapshot of each checkpoint's payloads, and a check that its tensors
+    are still plain values: not trainable, no gradient, the same bytes."""
+    before = [{k: p.data.tobytes() for k, p in c.params.items()} for c in ckpts]
+
+    def check():
+        for c, payloads in zip(ckpts, before):
+            for k, p in c.params.items():
+                assert not p.requires_grad and p.grad is None, k
+                assert p.data.tobytes() == payloads[k], k
+
+    return check
+
+
+class TestOneFitPerStage:
+    """Each training stage is one `fit` call, which owns its parameters."""
+
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        calls = []
+        fit = K.fit
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(K, "fit", counted)
+        monkeypatch.setattr(E, "fit", counted)
+        return calls
+
+    def test_train_lm(self, fit_calls):
+        K.train_lm(SMALL_S, corpus(), CHAR, DistillConfig(steps=3, batch=4, seq_len=16))
+        assert fit_calls == [SMALL_S]
+
+    @pytest.mark.parametrize("loss_kind", ["reverse_kl", "ce"])
+    def test_distill_edge_with_sft(self, fit_calls, loss_kind):
+        run = DistillConfig(steps=3, batch=32, seq_len=16, sft_warm_epochs=1, loss_kind=loss_kind)
+        out = distill_edge(ckpt(SMALL_T, 1, "t"), SMALL_S, corpus(), CHAR, run)
+        assert fit_calls == [SMALL_S]
+        sft, kd = out.meta.loss_curves
+        assert (sft["kind"], kd["kind"]) == ("sft", loss_kind)
+        assert len(sft["losses"]) > 0 and len(kd["losses"]) == 3
+        assert out.meta.step_count == len(sft["losses"]) + 3
+
+    def test_run_bridge(self, fit_calls):
+        spec = BridgeSpec("byte", "char", SMALL_S, n_samples=4, gen_max_len=8, seed=1)
+        run_bridge(spec, ckpt(cfg(1, 1, 8, 16, vocab=260), 2, "source"), corpus(),
+                   DistillConfig(steps=3, batch=2, seq_len=16))
+        assert fit_calls == [SMALL_S]
+
+    def test_compare_init_one_call_per_arm(self, fit_calls):
+        run = DistillConfig(steps=5, batch=4, seq_len=16, sft_warm_epochs=0)
+        cbd, rand = E.compare_init(ckpt(SMALL_S, 3, "cbd"), ckpt(SMALL_S, 4, "rand"), corpus(), CHAR, run,
+                                   eval_every=2)
+        assert fit_calls == [SMALL_S, SMALL_S]
+        # the val NLL at step 0, every eval_every-th step and the last
+        assert [step for step, _ in cbd.curves["cbd"]] == [0, 2, 4, 5]
+        assert [step for step, _ in rand.curves["rand-train"]] == [1, 2, 3, 4, 5]
+
+
+class TestCallerTensorsUntouched:
+    def test_compare_init(self):
+        cbd, rand = ckpt(SMALL_S, 3, "cbd"), ckpt(SMALL_S, 4, "rand")
+        check = _untouched(cbd, rand)
+        E.compare_init(cbd, rand, corpus(), CHAR, DistillConfig(steps=3, batch=4, seq_len=16), eval_every=2)
+        check()
+
+    @pytest.mark.parametrize("init_from_teacher", [True, False])
+    def test_distill_edge(self, init_from_teacher):
+        teacher = ckpt(SMALL_T, 1, "t")
+        check = _untouched(teacher)
+        run = DistillConfig(steps=3, batch=32, seq_len=16, sft_warm_epochs=1, init_from_teacher=init_from_teacher)
+        distill_edge(teacher, SMALL_S, corpus(), CHAR, run)
+        check()
+
+    def test_fit_trains_from_plain_tensors(self):
+        # the caller passes plain values; fit's own trainable wrappers get
+        # gradients from step 1
+        start = ckpt(SMALL_S, 0)
+        check = _untouched(start)
+        batches = D.shuffled(D.token_windows(corpus().train_docs, CHAR, 16), 4, 0)
+        trained, _ = K.fit(SMALL_S, start.params, islice(batches, 1), K.ce_loss, DistillConfig(steps=1))
+        check()
+        assert trained["L0.ffn.w1"].data.tobytes() != start.params["L0.ffn.w1"].data.tobytes()
