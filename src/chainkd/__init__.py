@@ -18,7 +18,6 @@ from .distill import (
 )
 from .evaluate import (
     EvalReport,
-    accuracy,
     alpha_sweep,
     compare_init,
     perplexity,

@@ -63,6 +63,8 @@ def _check_types(config, kinds: tuple[type, ...], names: tuple[str, ...]) -> Non
         if type(value) not in kinds:  # so a bool is not taken for an int or a float
             expected = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
             raise ValueError(f"{type(config).__name__}.{name} must be {expected}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):  # json.loads parses NaN and Infinity
+            raise ValueError(f"{type(config).__name__}.{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -553,22 +555,26 @@ def seqkd_generate(
     greedy: bool = False,
 ) -> list[tuple[str, str]]:
     """Sample one completion per prompt and decode both sides back to text,
-    so a differently-tokenized student can re-encode them."""
+    so a differently-tokenized student can re-encode them.  Prompts of one
+    token length are sampled as one batch; the pairs keep the input order."""
     if not prompts:
         raise DistillError("seqkd_generate needs at least one prompt")
     seeds = np.random.SeedSequence(seed).generate_state(len(prompts))
     budget = teacher.config.max_seq_len - max_len
     if budget < 1:
         raise DistillError("gen_max_len leaves no room for the prompt")
+    rows = [([teacher_vocab.bos] + encode(teacher_vocab, prompt))[:budget] for prompt in prompts]
+    by_length: dict[int, list[int]] = {}
+    for i, ids in enumerate(rows):
+        by_length.setdefault(len(ids), []).append(i)
+    completions: list[list[int]] = [[] for _ in rows]
+    for length, group in by_length.items():
+        out = M.sample(teacher.config, teacher.params, [rows[i] for i in group], temperature, max_len,
+                       [seeds[i] for i in group], greedy)
+        for i, row in zip(group, out):
+            completions[i] = row[length:].tolist()
     pairs = []
-    for prompt, s in zip(prompts, seeds):
-        ids = [teacher_vocab.bos] + encode(teacher_vocab, prompt)
-        ids = ids[:budget]
-        out = M.sample(
-            teacher.config, teacher.params, ids,
-            temperature=temperature, max_new=max_len, seed=int(s), greedy=greedy,
-        )
-        completion = out[len(ids):]
+    for ids, completion in zip(rows, completions):
         if teacher_vocab.eos in completion:
             completion = completion[: completion.index(teacher_vocab.eos)]
         pairs.append((decode(teacher_vocab, ids), decode(teacher_vocab, completion)))

@@ -83,14 +83,6 @@ def perplexity(ckpt: Checkpoint, docs: list[str], vocab: Vocabulary,
     return math.exp(eval_ce(ckpt.config, ckpt.params, docs, vocab, batch, seq_len))
 
 
-def accuracy(predictions: list, labels: list) -> float:
-    if not predictions or not labels:
-        raise EvalError("accuracy needs nonempty inputs")
-    if len(predictions) != len(labels):
-        raise EvalError(f"length mismatch: {len(predictions)} vs {len(labels)}")
-    return sum(1 for p, y in zip(predictions, labels) if p == y) / len(labels)
-
-
 def _lcs_length(a: list, b: list) -> int:
     # one-row dynamic program
     prev = [0] * (len(b) + 1)

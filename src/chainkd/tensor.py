@@ -536,6 +536,39 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return _emit("causal_attention", (q, k, v), merge(np.matmul(p, vh)), backward)
 
 
+@_quiet
+def cached_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                     cache_k: np.ndarray, cache_v: np.ndarray, pos: int) -> Tensor:
+    """causal_attention for n new positions pos..pos+n of sequences whose
+    earlier keys and values sit in the caches [batch, heads, length,
+    head_dim]: the new ones are written there first, then each new position
+    attends to every cached position up to itself.  No-grad only (decoding)."""
+    if _ACTIVE is not None:
+        raise TensorError("cached_attention records no gradient; run it under no_grad")
+    if q.data.ndim != 3:
+        raise TensorError(f"attention needs [batch, seq, heads * dim] projections, got {q.shape}")
+    b, n, inner = q.shape
+    end = pos + n
+    heads = (b, n, n_heads, inner // n_heads)
+    if (k.shape != q.shape or v.shape != q.shape or inner % n_heads or cache_k.shape != cache_v.shape
+            or cache_k.shape[:2] + cache_k.shape[3:] != (b, n_heads, heads[-1]) or end > cache_k.shape[2]):
+        raise TensorError(f"cached attention needs alike q, k, v {q.shape} at positions {pos}..{end} "
+                          f"within caches {cache_k.shape}")
+
+    def split(x):  # [b, n, inner] -> [b, nh, n, hd]
+        return x.reshape(heads).transpose(0, 2, 1, 3)
+
+    cache_k[:, :, pos:end] = split(k.data)
+    cache_v[:, :, pos:end] = split(v.data)
+    scale = np.asarray(1.0 / math.sqrt(heads[-1]), dtype=q.dtype)
+    p = np.matmul(np.ascontiguousarray(split(q.data)), np.swapaxes(cache_k[:, :, :end], -1, -2))
+    p *= scale
+    p += _causal_mask(cache_k.shape[2], q.dtype)[pos:end, :end]
+    _softmax(p, out=p)
+    out = np.ascontiguousarray(np.matmul(p, cache_v[:, :, :end]).transpose(0, 2, 1, 3)).reshape(b, n, inner)
+    return _emit("cached_attention", (q, k, v), out, None)
+
+
 def _mask_weights(mask, like: Tensor, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(mask as like's dtype, 1 / its sum as a 0-d array of that dtype)."""
     mask = np.asarray(mask, dtype=like.dtype)

@@ -9,6 +9,7 @@ function-preserving head padding possible at a fixed d_model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -123,35 +124,61 @@ def validate_params(config: ModelConfig, params: ParamSet) -> None:
             raise TensorError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
 
 
-def forward(config: ModelConfig, params: ParamSet, tokens: np.ndarray) -> Tensor:
-    """Logits [batch, seq, vocab] for integer tokens [batch, seq]."""
+class KVCache:
+    """The keys and values of every position run so far, one [batch, heads,
+    length, head_dim] pair per layer in one buffer, for decoding without a
+    tape; `pos` is the number of positions filled."""
+
+    def __init__(self, config: ModelConfig, batch: int, length: int, dtype=F32):
+        self.kv = np.zeros((config.n_layers, 2, batch, config.n_heads, length, config.head_dim), dtype=dtype)
+        self.pos = 0
+
+
+def forward(config: ModelConfig, params: ParamSet, tokens: np.ndarray, cache: KVCache | None = None) -> Tensor:
+    """Logits [batch, seq, vocab] for integer tokens [batch, seq].  With a
+    cache, the tokens are positions cache.pos.. of sequences whose earlier
+    positions it holds; their keys and values join it (no-grad only)."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise TensorError(f"tokens must be [batch, seq], got shape {tokens.shape}")
     s = tokens.shape[1]
-    if s > config.max_seq_len:
-        raise TensorError(f"sequence length {s} exceeds max_seq_len {config.max_seq_len}")
+    start = 0 if cache is None else cache.pos
+    if start + s > config.max_seq_len:
+        raise TensorError(f"sequence length {start + s} exceeds max_seq_len {config.max_seq_len}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size):
         raise TensorError(f"token id out of range [0, {config.vocab_size})")
 
-    x = T.embedding(params["embed.tok"], tokens) + T.embedding(params["embed.pos"], np.arange(s))
+    x = T.embedding(params["embed.tok"], tokens) + T.embedding(params["embed.pos"], np.arange(start, start + s))
     for i in range(config.n_layers):
-        p = f"L{i}."
-        h = T.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], LN_EPS)
-        q = T.linear(h, params[p + "attn.wq"], params[p + "attn.bq"])
-        k = T.linear(h, params[p + "attn.wk"], params[p + "attn.bk"])
-        v = T.linear(h, params[p + "attn.wv"], params[p + "attn.bv"])
-        y = T.causal_attention(q, k, v, config.n_heads)
-        x = x + T.linear(y, params[p + "attn.wo"], params[p + "attn.bo"])
-
-        h2 = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"], LN_EPS)
-        f = T.gelu(T.linear(h2, params[p + "ffn.w1"], params[p + "ffn.b1"]))
-        x = x + T.linear(f, params[p + "ffn.w2"], params[p + "ffn.b2"])
+        x = _attention_block(config, params, f"L{i}.", x, None if cache is None else cache.kv[i], start)
+        x = _ffn_block(params, f"L{i}.", x)
+    if cache is not None:
+        cache.pos += s
 
     x = T.layer_norm(x, params["final.ln.g"], params["final.ln.b"], LN_EPS)
     if config.tied_lm_head:
         return T.matmul(x, params["embed.tok"].transpose((1, 0)))
     return T.matmul(x, params["lm_head.w"])
+
+
+# Each sublayer runs in its own frame, so a no-grad forward frees its
+# activations at return and holds at most one sublayer's at a time.
+def _attention_block(config: ModelConfig, params: ParamSet, p: str, x: Tensor, kv, start: int) -> Tensor:
+    h = T.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], LN_EPS)
+    q = T.linear(h, params[p + "attn.wq"], params[p + "attn.bq"])
+    k = T.linear(h, params[p + "attn.wk"], params[p + "attn.bk"])
+    v = T.linear(h, params[p + "attn.wv"], params[p + "attn.bv"])
+    if kv is None:
+        y = T.causal_attention(q, k, v, config.n_heads)
+    else:
+        y = T.cached_attention(q, k, v, config.n_heads, *kv, start)
+    return x + T.linear(y, params[p + "attn.wo"], params[p + "attn.bo"])
+
+
+def _ffn_block(params: ParamSet, p: str, x: Tensor) -> Tensor:
+    h = T.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"], LN_EPS)
+    f = T.gelu(T.linear(h, params[p + "ffn.w1"], params[p + "ffn.b1"]))
+    return x + T.linear(f, params[p + "ffn.w2"], params[p + "ffn.b2"])
 
 
 def loss_ce(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -162,31 +189,45 @@ def loss_ce(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
 def sample(
     config: ModelConfig,
     params: ParamSet,
-    prompt: list[int],
+    prompts,
     temperature: float,
     max_new: int,
-    seed: int,
+    seeds,
     greedy: bool = False,
-) -> list[int]:
-    """Autoregressive multinomial sampling; deterministic given the seed.
-    `greedy` is the temperature -> 0+ limit (argmax decoding)."""
-    if temperature <= 0:
-        raise TensorError("temperature must be > 0 (use greedy=True for the argmax limit)")
-    if len(prompt) > config.max_seq_len:
-        raise TensorError(f"prompt length {len(prompt)} exceeds max_seq_len {config.max_seq_len}")
-    rng = np.random.default_rng(seed)
-    out = list(prompt)
+) -> np.ndarray:
+    """Autoregressive multinomial sampling of max_new tokens after each of the
+    equal-length prompt rows [batch, prompt]; row r draws from
+    np.random.default_rng(seeds[r]), so each row is deterministic given its
+    seed.  The prompts run through the layers once to fill a K/V cache, then
+    each new token runs them over one position per row.  `greedy` is the
+    temperature -> 0+ limit (argmax decoding).  Returns the rows
+    [batch, prompt + max_new], prompts included."""
+    if not 0 < temperature < math.inf:
+        raise TensorError("temperature must be finite and > 0 (use greedy=True for the argmax limit)")
+    if len({len(row) for row in prompts}) != 1:
+        raise TensorError("prompts must be one or more rows of equal length")
+    prompts = np.asarray(prompts)
+    if prompts.ndim != 2 or prompts.shape[1] < 1 or not np.issubdtype(prompts.dtype, np.integer):
+        raise TensorError(f"prompts must be non-empty rows of token ids [batch, prompt], got {prompts.shape}")
+    if len(seeds) != len(prompts):
+        raise TensorError(f"{len(seeds)} seeds for {len(prompts)} prompts")
+    b, n = prompts.shape
+    total = n + max_new
+    if total > config.max_seq_len:
+        raise TensorError(f"prompt length {n} + max_new {max_new} exceeds max_seq_len {config.max_seq_len}")
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    out = np.empty((b, total), dtype=np.int64)
+    out[:, :n] = prompts
+    cache = KVCache(config, b, total, params["embed.tok"].dtype)
     with no_grad():
-        for _ in range(max_new):
-            window = out[-config.max_seq_len:]
-            logits = forward(config, params, np.asarray([window])).data[0, -1].astype(F64)
+        for t in range(n, total):
+            logits = forward(config, params, out[:, cache.pos:t], cache).data[:, -1].astype(F64)
             if greedy:
-                nxt = int(np.argmax(logits))
-            else:
-                z = logits / temperature
-                z -= z.max()
-                probs = np.exp(z)
-                probs /= probs.sum()
-                nxt = int(rng.choice(config.vocab_size, p=probs))
-            out.append(nxt)
+                out[:, t] = np.argmax(logits, axis=-1)
+                continue
+            z = logits / temperature
+            z -= z.max(axis=-1, keepdims=True)
+            probs = np.exp(z)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            out[:, t] = [rng.choice(config.vocab_size, p=row) for rng, row in zip(rngs, probs)]
     return out

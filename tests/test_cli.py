@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import struct
 
 import numpy as np
@@ -211,6 +212,22 @@ MALFORMED_SPECS = {
         lambda t: _chain_argv(t, bridge={**bridged_config(t)["bridge"], "gen_temperature": "1"}),
         "bridge: BridgeSpec.gen_temperature"),
     "chain edge lr a bool": (lambda t: _chain_argv(t, edges=_edges_with(0, lr=True)), "edges[0]: DistillConfig.lr"),
+    # json.loads parses the bare tokens NaN and Infinity, which json.dumps writes
+    "chain edge lr NaN": (lambda t: _chain_argv(t, edges=_edges_with(0, lr=math.nan)),
+                          "edges[0]: DistillConfig.lr must be finite"),
+    "chain edge temperature Infinity": (lambda t: _chain_argv(t, edges=_edges_with(1, temperature=math.inf)),
+                                        "edges[1]: DistillConfig.temperature must be finite"),
+    "chain edge beta1 NaN": (lambda t: _chain_argv(t, edges=_edges_with(0, beta1=math.nan)),
+                             "edges[0]: DistillConfig.beta1 must be finite"),
+    "chain edge beta2 NaN": (lambda t: _chain_argv(t, edges=_edges_with(0, beta2=math.nan)),
+                             "edges[0]: DistillConfig.beta2 must be finite"),
+    "chain edge eps Infinity": (lambda t: _chain_argv(t, edges=_edges_with(0, eps=math.inf)),
+                                "edges[0]: DistillConfig.eps must be finite"),
+    "chain edge grad_clip Infinity": (lambda t: _chain_argv(t, edges=_edges_with(0, grad_clip=math.inf)),
+                                      "edges[0]: DistillConfig.grad_clip must be finite"),
+    "chain bridge gen_temperature Infinity": (
+        lambda t: _chain_argv(t, bridge={**bridged_config(t)["bridge"], "gen_temperature": math.inf}),
+        "bridge: BridgeSpec.gen_temperature must be finite"),
     # corpus numbers are checked, not coerced: each of these used to run
     "markov n_docs a float": (lambda t: _train_argv(t, corpus=_corpus_with(n_docs=40.0)), "corpus.params.n_docs:"),
     "markov n_docs a string": (lambda t: _train_argv(t, corpus=_corpus_with(n_docs="7")), "corpus.params.n_docs:"),

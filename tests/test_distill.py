@@ -303,6 +303,38 @@ class TestSeqKD:
         with pytest.raises(DistillError):
             seqkd_generate(ckpt(SMALL_T, 1), CHAR, [], 1.0, 4, 0)
 
+    @staticmethod
+    def _alone(teacher, prompts, max_len, seed):
+        """Each prompt sampled by itself with the seed seqkd_generate gives it."""
+        seeds = np.random.SeedSequence(seed).generate_state(len(prompts))
+        pairs = []
+        for prompt, s in zip(prompts, seeds):
+            ids = [CHAR.bos] + tok.encode(CHAR, prompt)
+            out = M.sample(teacher.config, teacher.params, [ids], 1.0, max_len, [s])[0, len(ids):].tolist()
+            if CHAR.eos in out:
+                out = out[: out.index(CHAR.eos)]
+            pairs.append((tok.decode(CHAR, ids), tok.decode(CHAR, out)))
+        return pairs
+
+    def test_batch_matches_each_prompt_alone(self, monkeypatch):
+        teacher = ckpt(SMALL_T, 1, "t")
+        docs = corpus().train_docs
+        prompts = [doc[:10] for doc in docs[:12]]
+        batches = []
+        sample = M.sample
+        monkeypatch.setattr(M, "sample", lambda *a: batches.append(len(a[2])) or sample(*a))
+        pairs = seqkd_generate(teacher, CHAR, prompts, 1.0, 16, seed=5)
+        monkeypatch.undo()
+        assert batches == [12]  # equal-length prompts are one batch
+        assert pairs == self._alone(teacher, prompts, 16, 5)
+
+    def test_mixed_lengths_keep_input_order(self):
+        teacher = ckpt(SMALL_T, 2, "t")
+        prompts = ["ab", "abcdef", "abc", "hgfedc", "b", "ab"]
+        pairs = seqkd_generate(teacher, CHAR, prompts, 1.0, 8, seed=6)
+        assert [p for p, _ in pairs] == prompts
+        assert pairs == self._alone(teacher, prompts, 8, 6)
+
 
 class TestBridge:
     def test_mismatched_tokenizers_enforced(self):

@@ -14,7 +14,6 @@ from chainkd.distill import DistillConfig, eval_ce, train_lm
 from chainkd.evaluate import (
     EvalError,
     EvalReport,
-    accuracy,
     alpha_sweep,
     compare_init,
     perplexity,
@@ -85,23 +84,6 @@ class TestPerplexity:
         c = ckpt(cfg(1, 1, 8, 16, vocab=260), 0)
         with pytest.raises(EvalError):
             perplexity(c, ["ab"], CHAR)
-
-
-class TestAccuracy:
-    def test_identical(self):
-        assert accuracy(["a", "b"], ["a", "b"]) == 1.0
-
-    def test_disjoint(self):
-        assert accuracy([1, 2], [3, 4]) == 0.0
-
-    def test_three_of_four(self):
-        assert accuracy([1, 2, 3, 4], [1, 2, 3, 9]) == 0.75
-
-    def test_errors(self):
-        with pytest.raises(EvalError):
-            accuracy([1], [1, 2])
-        with pytest.raises(EvalError):
-            accuracy([], [])
 
 
 class TestRougeL:

@@ -3,7 +3,7 @@ import pytest
 
 from chainkd import tensor as T
 from chainkd import transformer as M
-from chainkd.tensor import F64, Tensor, TensorError, grad_check
+from chainkd.tensor import F64, GradTape, Tensor, TensorError, grad_check, no_grad
 from chainkd.transformer import ModelConfig
 
 
@@ -177,15 +177,18 @@ class TestLossCE:
 class TestSample:
     def test_greedy_equals_argmax(self):
         params = M.init_random(TINY, 8)
-        a = M.sample(TINY, params, [1, 2], temperature=1.0, max_new=5, seed=0, greedy=True)
-        b = M.sample(TINY, params, [1, 2], temperature=1.0, max_new=5, seed=99, greedy=True)
-        assert a == b  # greedy ignores the rng
+        a = M.sample(TINY, params, [[1, 2]], temperature=1.0, max_new=5, seeds=[0], greedy=True)
+        b = M.sample(TINY, params, [[1, 2]], temperature=1.0, max_new=5, seeds=[99], greedy=True)
+        assert a.tolist() == b.tolist()  # greedy ignores the rng
+        with no_grad():
+            logits = M.forward(TINY, params, a[:, :-1]).data
+        assert a[0, 2:].tolist() == np.argmax(logits[0, 1:], axis=-1).tolist()
 
     def test_same_seed_same_output(self):
         params = M.init_random(TINY, 8)
-        a = M.sample(TINY, params, [1], temperature=1.0, max_new=6, seed=3)
-        b = M.sample(TINY, params, [1], temperature=1.0, max_new=6, seed=3)
-        assert a == b
+        a = M.sample(TINY, params, [[1]], temperature=1.0, max_new=6, seeds=[3])
+        b = M.sample(TINY, params, [[1]], temperature=1.0, max_new=6, seeds=[3])
+        assert a.shape == (1, 7) and a.tolist() == b.tolist()
 
     def test_degenerate_model_constant_continuation(self):
         params = zero_params(TINY)
@@ -197,18 +200,61 @@ class TestSample:
         beta[0] = 30.0
         params["embed.tok"] = Tensor(emb)
         params["final.ln.b"] = Tensor(beta)
-        out = M.sample(TINY, params, [1], temperature=1.0, max_new=4, seed=0)
-        assert out[1:] == [7, 7, 7, 7]
+        out = M.sample(TINY, params, [[1], [2]], temperature=1.0, max_new=4, seeds=[0, 1])
+        assert out[:, 1:].tolist() == [[7, 7, 7, 7]] * 2
 
     def test_prompt_too_long(self):
         params = M.init_random(TINY, 0)
         with pytest.raises(TensorError):
-            M.sample(TINY, params, list(range(13)), 1.0, 1, 0)
+            M.sample(TINY, params, [list(range(13))], 1.0, 1, [0])
+
+    def test_prompt_plus_max_new_past_max_seq_len(self):
+        params = M.init_random(TINY, 0)
+        with pytest.raises(TensorError, match="exceeds max_seq_len"):
+            M.sample(TINY, params, [list(range(10))], 1.0, 3, [0])
+        assert M.sample(TINY, params, [list(range(10))], 1.0, 2, [0]).shape == (1, 12)
 
     def test_temperature_positive(self):
         params = M.init_random(TINY, 0)
-        with pytest.raises(TensorError):
-            M.sample(TINY, params, [1], 0.0, 1, 0)
+        for temperature in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(TensorError):
+                M.sample(TINY, params, [[1]], temperature, 1, [0])
+
+    def test_malformed_prompts_and_seeds(self):
+        params = M.init_random(TINY, 0)
+        for prompts, seeds in (([[1, 2], [3]], [0, 1]), ([[]], [0]), ([[1]], [0, 1]), ([[1.0]], [0])):
+            with pytest.raises(TensorError):
+                M.sample(TINY, params, prompts, 1.0, 1, seeds)
+
+    def test_cached_logits_match_forward(self):
+        # the cache changes the float rounding, so compare within a tolerance
+        params = M.init_random(TINY, 4)
+        rows = np.random.default_rng(0).integers(0, 13, size=(3, TINY.max_seq_len))
+        cache = M.KVCache(TINY, 3, TINY.max_seq_len)
+        with no_grad():
+            cached = M.forward(TINY, params, rows[:, :4], cache).data
+            assert np.allclose(cached, M.forward(TINY, params, rows[:, :4]).data, rtol=0, atol=1e-5)
+            for t in range(4, TINY.max_seq_len):
+                last = M.forward(TINY, params, rows[:, t:t + 1], cache).data[:, -1]
+                full = M.forward(TINY, params, rows[:, :t + 1]).data[:, -1]
+                assert cache.pos == t + 1
+                assert np.abs(last - full).max() <= 1e-5
+            with pytest.raises(TensorError):
+                M.forward(TINY, params, rows[:, :1], cache)  # the cache is full
+
+    def test_cached_forward_refuses_a_tape(self):
+        params = M.init_random(TINY, 4)
+        cache = M.KVCache(TINY, 1, 4)
+        with GradTape(), pytest.raises(TensorError, match="no_grad"):
+            M.forward(TINY, params, [[1, 2]], cache)
+
+    def test_one_forward_per_new_token(self, monkeypatch):
+        params = M.init_random(TINY, 4)
+        calls = []
+        forward = M.forward
+        monkeypatch.setattr(M, "forward", lambda *a: calls.append(np.shape(a[2])) or forward(*a))
+        M.sample(TINY, params, [[1, 2, 3]] * 5, 1.0, 4, range(5))
+        assert calls == [(5, 3), (5, 1), (5, 1), (5, 1)]
 
 
 class TestGradients:
