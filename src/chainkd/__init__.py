@@ -33,7 +33,6 @@ from .surgery import (
     invert_expand,
     plan_expand,
     plan_subset,
-    select_adjacent_anchors,
 )
 from .tensor import GradTape, Tensor, grad_check, value_and_grad
 from .tokenizers import Vocabulary, byte_vocab, char_vocab, decode, encode

@@ -283,23 +283,35 @@ def _score_blocks(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.f
             T._log_softmax(dst, out=dst)
 
 
-_SHARE_WORK: tuple = ()
+_CGROUP_ROOT = "/sys/fs/cgroup"
 
 
-def _adopt_work(*work) -> None:
-    # pool initializer: a forked worker inherits these objects (the output
-    # array included, as the same shared mapping), so nothing is pickled
-    global _SHARE_WORK
-    _SHARE_WORK = work
-
-
-def _score_share(blocks: range) -> None:
-    _score_blocks(*_SHARE_WORK, blocks)
+def _cgroup_cpus() -> int | None:
+    """ceil(quota / period) of the cgroup CPU quota under _CGROUP_ROOT: v2's
+    cpu.max, else v1's cpu/cpu.cfs_quota_us over cpu/cpu.cfs_period_us.  None
+    where there is no quota ("max", -1) or no file can be read or parsed."""
+    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        fields = []
+        try:
+            for name in names:
+                with open(os.path.join(_CGROUP_ROOT, name)) as fh:
+                    fields += fh.read().split()
+        except OSError:
+            continue
+        try:
+            quota, period = map(int, fields)
+        except ValueError:
+            return None
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
 
 
 def _allowed_cpus() -> int:
+    """The CPUs in this process's affinity set, capped by its cgroup CPU quota."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else 1
+    cpus = len(affinity(0)) if affinity is not None else 1
+    quota = _cgroup_cpus()
+    return cpus if quota is None else max(1, min(cpus, quota))
 
 
 _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
@@ -330,57 +342,77 @@ def _openblas_threads():
     return None
 
 
+_FORKED_TASKS: tuple = ()
+
+
+def _adopt_tasks(tasks) -> None:
+    # pool initializer: a forked worker inherits the tasks and all they
+    # reference (a shared mapping stays shared), so nothing is pickled
+    global _FORKED_TASKS
+    _FORKED_TASKS = tasks
+
+
+def _run_task(i: int):
+    return _FORKED_TASKS[i]()
+
+
+def _run_forked(tasks: list) -> list:
+    """Call each zero-argument task and return the results in task order.
+
+    The caller runs the first task while forked workers, one per further
+    allowed CPU, run the others; only their results are pickled back.  A
+    failure raises what a serial pass would raise first, and every worker
+    is joined before this returns or raises.
+
+    While the workers run, OpenBLAS is held to one thread in every process,
+    so k processes use k CPUs: k processes of multi-threaded BLAS on k CPUs
+    busy-wait on each other and run slower than one process alone.  With
+    one allowed CPU, or where the thread count cannot be set (a BLAS other
+    than OpenBLAS), the caller runs every task itself."""
+    k = min(_allowed_cpus(), len(tasks))
+    blas = _openblas_threads() if k > 1 else None
+    if blas is None:
+        return [task() for task in tasks]
+    # imported here: loading the pool machinery adds about 2 MB to the peak
+    # RSS of a process that never forks
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    get_blas_threads, set_blas_threads = blas
+    blas_threads = get_blas_threads()
+    # set before the fork, so the workers inherit the single thread
+    set_blas_threads(1)
+    pool = None
+    try:
+        # fork, so the workers inherit the tasks' inputs instead of pickles
+        pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt_tasks, initargs=(tasks,))
+        futures = [pool.submit(_run_task, i) for i in range(1, len(tasks))]
+        first = tasks[0]()
+        # in task order, so a failure raises what a serial pass would
+        return [first, *(f.result() for f in futures)]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        set_blas_threads(blas_threads)
+
+
 def _teacher_logit_cache(teacher: Checkpoint, tokens: np.ndarray, cfg: DistillConfig,
                          eval_batch: int = 32) -> np.ndarray:
     """Temperature-scaled teacher log-probs for every row of the tokens column.
 
     The eval_batch-aligned blocks are split into one contiguous share per
-    allowed CPU.  The caller scores the first share; forked workers score
-    the others straight into a shared anonymous mapping.  Each block is the
-    same forward on the same rows whoever runs it, so the bytes do not
-    depend on the CPU count.
-
-    While the workers run, OpenBLAS is held to one thread in every process,
-    so k processes use k CPUs: k processes of multi-threaded BLAS on k CPUs
-    busy-wait on each other and score slower than one process alone.  Where
-    the thread count cannot be set (a BLAS other than OpenBLAS), the caller
-    scores every block itself."""
+    allowed CPU, and `_run_forked` scores the shares straight into a shared
+    anonymous mapping.  Each block is the same forward on the same rows
+    whoever runs it, so the bytes do not depend on the CPU count."""
     shape = (*tokens.shape, teacher.config.vocab_size)
     buf = mmap.mmap(-1, math.prod(shape) * 4)
     out = np.frombuffer(buf, dtype=np.float32).reshape(shape)
     starts = range(0, len(tokens), eval_batch)
     k = min(_allowed_cpus(), len(starts))
-    blas = _openblas_threads() if k > 1 else None
-    if blas is None:
-        k = 1
     shares = [starts[j * len(starts) // k : (j + 1) * len(starts) // k] for j in range(k)]
     work = (teacher, tokens, np.float32(1.0 / cfg.temperature), out, eval_batch)
-    pool = blas_threads = None
-    try:
-        if k > 1:
-            # imported here: loading the pool machinery adds about 2 MB to the
-            # peak RSS of a process that never forks
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # set before the fork, so the workers inherit the single thread
-            get_blas_threads, set_blas_threads = blas
-            blas_threads = get_blas_threads()
-            set_blas_threads(1)
-            # fork, so the workers inherit the teacher, the tokens and the
-            # mapping instead of receiving pickles
-            pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_adopt_work, initargs=work)
-        futures = [pool.submit(_score_share, share) for share in shares[1:]]
-        _score_blocks(*work, shares[0])
-        # in share order, so a failure raises what a serial pass would
-        for f in futures:
-            f.result()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        if blas_threads is not None:
-            set_blas_threads(blas_threads)
+    _run_forked([functools.partial(_score_blocks, *work, share) for share in shares])
     return out
 
 

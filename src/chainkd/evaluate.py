@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import data as D
 from . import transformer as M
 from .checkpoint import Checkpoint
-from .distill import DistillConfig, ce_loss, eval_ce, fit, mean_nll
+from .distill import DistillConfig, _run_forked, ce_loss, eval_ce, fit, mean_nll
 from .surgery import interpolate
 from .tokenizers import Vocabulary
 from .transformer import ModelConfig
@@ -191,9 +192,12 @@ def compare_init(
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     train = D.token_windows(corpus.train_docs, vocab, cfg.seq_len)
     val = D.token_windows(corpus.val_docs, vocab, cfg.seq_len)
+    arms = (("cbd", cbd), ("rand", rand))
+    # the caller trains the cbd arm while a forked worker, where a second
+    # CPU is allowed, trains the rand arm
+    results = _run_forked([partial(_train_with_val_curve, ckpt, train, val, cfg, eval_every) for _, ckpt in arms])
     reports = []
-    for name, ckpt in (("cbd", cbd), ("rand", rand)):
-        val_curve, train_losses = _train_with_val_curve(ckpt, train, val, cfg, eval_every)
+    for (name, ckpt), (val_curve, train_losses) in zip(arms, results):
         tail = train_losses[-100:]
         metrics = {
             "step0_loss": val_curve[0][1],

@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, Meta
 from .tensor import Tensor
-from .transformer import LAYER_AXES, ModelConfig, ParamSet, count_params, param_shapes, structurally_le
+from .transformer import LAYER_AXES, ModelConfig, ParamSet, param_shapes, structurally_le
 
 
 class SurgeryError(ValueError):
@@ -189,23 +189,3 @@ def interpolate(
     )
     return Checkpoint(dst_config, blended, meta)
 
-
-def select_adjacent_anchors(anchors: list[Checkpoint], target_params: int) -> tuple[Checkpoint, Checkpoint]:
-    """Tightest bracketing pair in a descending chain; an exact size match
-    returns that anchor on both sides."""
-    if not anchors:
-        raise SurgeryError("empty anchor chain")
-    counts = [count_params(c.config) for c in anchors]
-    if any(b >= a for a, b in zip(counts, counts[1:])):
-        raise SurgeryError("anchors must be sorted by strictly descending parameter count")
-    if not (counts[-1] <= target_params <= counts[0]):
-        raise SurgeryError(
-            f"target {target_params} outside the chain's range [{counts[-1]}, {counts[0]}]"
-        )
-    for ckpt, n in zip(anchors, counts):
-        if n == target_params:
-            return ckpt, ckpt
-    for idx in range(len(anchors) - 1):
-        if counts[idx + 1] <= target_params <= counts[idx]:
-            return anchors[idx + 1], anchors[idx]
-    raise SurgeryError("unreachable: target not bracketed")

@@ -420,6 +420,12 @@ def gelu(x: Tensor) -> Tensor:
     t *= c
     np.tanh(t, out=t)
     y = np.multiply(x.data, 0.5, out=np.empty_like(x.data))
+    if _ACTIVE is None or not x.requires_grad:
+        # no tape keeps t for a backward: build t + 1 in t and drop it
+        t += 1.0
+        y *= t
+        del t
+        return _emit("gelu", (x,), y, None)
     y *= t + 1.0
 
     def backward(g):

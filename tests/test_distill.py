@@ -1,4 +1,5 @@
 import math
+import os
 from itertools import islice
 
 import numpy as np
@@ -43,6 +44,12 @@ def ckpt(config, seed=0, name="m"):
 
 def corpus():
     return D.gen_markov(11, n_docs=60, doc_len=60, order=1, alphabet="abcdefgh")
+
+
+def cpus(monkeypatch, n):
+    # n allowed CPUs: the affinity set, and no cgroup quota to cap it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(K, "_CGROUP_ROOT", "/nonexistent")
 
 
 # the 2-class pair behind the scalar oracles: S=(0.9,0.1), T=(0.5,0.5)
@@ -447,14 +454,31 @@ class TestOneFitPerStage:
                    DistillConfig(steps=3, batch=2, seq_len=16))
         assert fit_calls == [SMALL_S]
 
-    def test_compare_init_one_call_per_arm(self, fit_calls):
+    @staticmethod
+    def compare():
         run = DistillConfig(steps=5, batch=4, seq_len=16, sft_warm_epochs=0)
-        cbd, rand = E.compare_init(ckpt(SMALL_S, 3, "cbd"), ckpt(SMALL_S, 4, "rand"), corpus(), CHAR, run,
-                                   eval_every=2)
+        return E.compare_init(ckpt(SMALL_S, 3, "cbd"), ckpt(SMALL_S, 4, "rand"), corpus(), CHAR, run,
+                              eval_every=2)
+
+    def test_compare_init_one_call_per_arm(self, fit_calls, monkeypatch):
+        # one CPU: both arms train in this process, where the calls are counted
+        cpus(monkeypatch, 1)
+        cbd, rand = self.compare()
         assert fit_calls == [SMALL_S, SMALL_S]
         # the val NLL at step 0, every eval_every-th step and the last
         assert [step for step, _ in cbd.curves["cbd"]] == [0, 2, 4, 5]
         assert [step for step, _ in rand.curves["rand-train"]] == [1, 2, 3, 4, 5]
+
+    def test_compare_init_parallel_arms(self, fit_calls, monkeypatch):
+        # two CPUs: the rand arm's call runs in a forked worker, out of this
+        # list's sight, unless no OpenBLAS thread setter sends both arms here
+        cpus(monkeypatch, 1)
+        serial = self.compare()
+        fit_calls.clear()
+        cpus(monkeypatch, 2)
+        parallel = self.compare()
+        assert fit_calls == [SMALL_S] * (1 if K._openblas_threads() is not None else 2)
+        assert [(r.curves, r.metrics) for r in parallel] == [(r.curves, r.metrics) for r in serial]
 
 
 class TestCallerTensorsUntouched:

@@ -1,7 +1,7 @@
 """The teacher-logit cache gives the same bytes on any number of CPUs.
 
 `_teacher_logit_cache` splits its eval_batch-aligned blocks into one share
-per CPU in `os.sched_getaffinity(0)`; the caller scores the first share and
+per allowed CPU; through `_run_forked`, the caller scores the first share and
 forked workers the rest.  These tests fake the affinity set to cover the
 serial path, several workers, and more CPUs than there are blocks.
 """
@@ -47,7 +47,9 @@ def _reference(teacher, tokens):
 
 
 def _cpus(monkeypatch, n):
+    # n allowed CPUs: the affinity set, and no cgroup quota to cap it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(K, "_CGROUP_ROOT", "/nonexistent")
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])

@@ -12,7 +12,6 @@ from chainkd.surgery import (
     invert_expand,
     plan_expand,
     plan_subset,
-    select_adjacent_anchors,
 )
 from chainkd.transformer import ModelConfig
 
@@ -221,28 +220,3 @@ class TestInterpolate:
         assert "alpha=0.25" in out.meta.lineage[-1]
         assert "s,l" in out.meta.lineage[-1]
 
-
-class TestSelectAdjacentAnchors:
-    def chain(self):
-        # descending parameter count, mirroring a large/medium/base family
-        return [make(BIG, 1, "L"), make(cfg(3, 2, 10, 20), 2, "M"), make(SMALL, 3, "B")]
-
-    def test_bracketing_pair(self):
-        anchors = self.chain()
-        target = M.count_params(SMALL) + 10
-        s, l = select_adjacent_anchors(anchors, target)
-        assert s.meta.name == "B" and l.meta.name == "M"
-
-    def test_exact_match_returns_twice(self):
-        anchors = self.chain()
-        s, l = select_adjacent_anchors(anchors, M.count_params(cfg(3, 2, 10, 20)))
-        assert s is l and s.meta.name == "M"
-
-    def test_out_of_range(self):
-        with pytest.raises(SurgeryError):
-            select_adjacent_anchors(self.chain(), 10**9)
-
-    def test_unsorted_rejected(self):
-        anchors = self.chain()[::-1]
-        with pytest.raises(SurgeryError):
-            select_adjacent_anchors(anchors, M.count_params(SMALL) + 1)

@@ -125,6 +125,17 @@ class TestGelu:
         assert abs(got - expected) < 1e-12
         assert abs(got - 0.8412) < 5e-5
 
+    @pytest.mark.parametrize("shape", [(), (1, 1, 7), (32, 48, 384)])
+    def test_untaped_output_bytes_match_taped(self, shape):
+        # without a tape, t + 1 is built in t itself; the output bytes hold
+        _, _, [x] = _kernel_case("gelu", shape, np.random.default_rng(5))
+        with T.no_grad():
+            plain = T.gelu(Tensor(x)).data.tobytes()
+        with GradTape():
+            taped = T.gelu(Tensor(x, requires_grad=True))
+        assert taped.requires_grad
+        assert T.gelu(Tensor(x)).data.tobytes() == plain == taped.data.tobytes()
+
 
 class TestValueAndGrad:
     def test_sum_gives_ones(self):
