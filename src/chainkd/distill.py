@@ -238,8 +238,13 @@ def adam_step(
             g = np.zeros(p.shape, dtype=p.dtype)
         elif g.shape != p.shape:
             raise DistillError(f"gradient shape mismatch for {name}")
-        m = state.m.setdefault(name, np.zeros(p.shape, dtype=p.dtype))
-        v = state.v.setdefault(name, np.zeros(p.shape, dtype=p.dtype))
+        # zeros on the first step only (setdefault would build them every step)
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros(p.shape, dtype=p.dtype)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros(p.shape, dtype=p.dtype)
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -269,18 +274,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 
 
 # -- training loop ------------------------------------------------------------------
-
-
-def _score_blocks(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.float32, out: np.ndarray,
-                  eval_batch: int, blocks: range) -> None:
-    """Write the teacher log-probs at the temperature, log_softmax(logits / T),
-    of windows [i, i + eval_batch) for every block start i into `out`."""
-    with no_grad():
-        for i in blocks:
-            block = tokens[i : i + eval_batch]
-            logits = M.forward(teacher.config, teacher.params, block).data
-            dst = np.multiply(logits, inv_temperature, out=out[i : i + len(block)])
-            T._log_softmax(dst, out=dst)
 
 
 _CGROUP_ROOT = "/sys/fs/cgroup"
@@ -342,78 +335,201 @@ def _openblas_threads():
     return None
 
 
-_FORKED_TASKS: tuple = ()
+class _RemoteTraceback(Exception):
+    """The traceback of an error raised in a forked worker, chained as its cause."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
-def _adopt_tasks(tasks) -> None:
-    # pool initializer: a forked worker inherits the tasks and all they
-    # reference (a shared mapping stays shared), so nothing is pickled
-    global _FORKED_TASKS
-    _FORKED_TASKS = tasks
+def _serve(sender, tasks: list) -> None:
+    # the body of a forked worker: send (True, result) for each task in
+    # order, or (False, (error, traceback)) for the first that fails
+    try:
+        for task in tasks:
+            sender.send((True, task()))
+    except Exception as e:
+        import traceback
+
+        trace = traceback.format_exc()
+        try:
+            sender.send((False, (e, trace)))
+        except Exception:  # an error that cannot be pickled
+            sender.send((False, (DistillError(f"{type(e).__name__}: {e}"), trace)))
 
 
-def _run_task(i: int):
-    return _FORKED_TASKS[i]()
+class _Forked:
+    """Forked workers, one per list of zero-argument tasks.  Each calls its
+    tasks in order and sends each result back through its own pipe, or the
+    first error with its traceback, then exits.  A worker inherits its tasks
+    and all they reference (a shared mapping stays shared), so only results
+    are pickled.
+
+    OpenBLAS is held to one thread in every process from the fork until
+    `close`, so k processes use k CPUs: k processes of multi-threaded BLAS on
+    k CPUs busy-wait on each other and run slower than one process alone.
+    `close` (also the context exit) kills the workers whose results have not
+    all been read, joins every worker and restores the thread count."""
+
+    def __init__(self, task_lists: list[list]):
+        # imported here: multiprocessing adds about 2 MB to the peak RSS of
+        # a process that never forks
+        import multiprocessing
+
+        get_blas_threads, self._set_blas_threads = _openblas_threads()
+        self._blas_threads = get_blas_threads()
+        # set before the fork, so the workers inherit the single thread
+        self._set_blas_threads(1)
+        self._workers: list[list] = []  # [process, receiving end, results not yet read]
+        try:
+            # fork, so the workers inherit the tasks' inputs instead of pickles
+            context = multiprocessing.get_context("fork")
+            for tasks in task_lists:
+                receiver, sender = context.Pipe(duplex=False)
+                process = context.Process(target=_serve, args=(sender, tasks), daemon=True)
+                try:
+                    process.start()
+                finally:
+                    sender.close()  # the worker holds the only sending end: EOF once it is gone
+                self._workers.append([process, receiver, len(tasks)])
+        except BaseException:
+            self.close()
+            raise
+
+    def result(self, j: int):
+        """The next result of worker j, in its task order.  Raises that
+        task's error, or DistillError if the worker ended without sending
+        it: the wait also watches the worker's sentinel, so a worker that
+        dies cannot leave the caller waiting."""
+        from multiprocessing.connection import wait
+
+        worker = self._workers[j]
+        process, receiver, _ = worker
+        wait([receiver, process.sentinel])
+        try:
+            # what a worker sent before it ended is still in the pipe
+            message = receiver.recv() if receiver.poll() else None
+        except (EOFError, OSError):
+            message = None
+        if message is None:
+            process.join()
+            raise DistillError(f"forked worker {process.pid} ended with exit code {process.exitcode}"
+                               " before sending its result")
+        worker[2] -= 1
+        ok, value = message
+        if not ok:
+            error, trace = value
+            raise error from _RemoteTraceback(trace)
+        return value
+
+    def close(self) -> None:
+        workers, self._workers = self._workers, []
+        try:
+            for process, _, pending in workers:
+                if pending:
+                    process.kill()
+            for process, receiver, _ in workers:
+                process.join()
+                receiver.close()
+        finally:
+            if self._blas_threads is not None:
+                self._set_blas_threads(self._blas_threads)
+                self._blas_threads = None
+
+    def __enter__(self) -> "_Forked":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _fork_width(n_tasks: int) -> int:
+    """How many forked workers may run beside the caller: one per further
+    allowed CPU, at most n_tasks, and none where the OpenBLAS thread count
+    cannot be set (another BLAS), since every process must hold one thread."""
+    k = min(_allowed_cpus() - 1, n_tasks)
+    return k if k > 0 and _openblas_threads() is not None else 0
 
 
 def _run_forked(tasks: list) -> list:
     """Call each zero-argument task and return the results in task order.
 
     The caller runs the first task while forked workers, one per further
-    allowed CPU, run the others; only their results are pickled back.  A
+    allowed CPU, run the others, task i in worker (i - 1) mod workers.  A
     failure raises what a serial pass would raise first, and every worker
-    is joined before this returns or raises.
-
-    While the workers run, OpenBLAS is held to one thread in every process,
-    so k processes use k CPUs: k processes of multi-threaded BLAS on k CPUs
-    busy-wait on each other and run slower than one process alone.  With
-    one allowed CPU, or where the thread count cannot be set (a BLAS other
-    than OpenBLAS), the caller runs every task itself."""
-    k = min(_allowed_cpus(), len(tasks))
-    blas = _openblas_threads() if k > 1 else None
-    if blas is None:
+    is joined before this returns or raises.  With one allowed CPU, or where
+    the OpenBLAS thread count cannot be set, the caller runs every task
+    itself and starts no process."""
+    n = _fork_width(len(tasks) - 1)
+    if n == 0:
         return [task() for task in tasks]
-    # imported here: loading the pool machinery adds about 2 MB to the peak
-    # RSS of a process that never forks
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    get_blas_threads, set_blas_threads = blas
-    blas_threads = get_blas_threads()
-    # set before the fork, so the workers inherit the single thread
-    set_blas_threads(1)
-    pool = None
-    try:
-        # fork, so the workers inherit the tasks' inputs instead of pickles
-        pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_adopt_tasks, initargs=(tasks,))
-        futures = [pool.submit(_run_task, i) for i in range(1, len(tasks))]
+    with _Forked([tasks[1 + j :: n] for j in range(n)]) as forked:
         first = tasks[0]()
         # in task order, so a failure raises what a serial pass would
-        return [first, *(f.result() for f in futures)]
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        set_blas_threads(blas_threads)
+        return [first, *(forked.result(i % n) for i in range(len(tasks) - 1))]
 
 
-def _teacher_logit_cache(teacher: Checkpoint, tokens: np.ndarray, cfg: DistillConfig,
-                         eval_batch: int = 32) -> np.ndarray:
-    """Temperature-scaled teacher log-probs for every row of the tokens column.
+def _score_group(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.float32, logp: np.ndarray,
+                 rows: np.ndarray) -> None:
+    """Write the teacher log-probs at the temperature, log_softmax(logits / T),
+    of the windows `rows` into those rows of `logp`, in one no-grad forward."""
+    if len(rows) == 0:
+        return
+    with no_grad():
+        logits = M.forward(teacher.config, teacher.params, tokens[rows]).data
+    scaled = np.multiply(logits, inv_temperature)
+    logp[rows] = T._log_softmax(scaled, out=scaled)
 
-    The eval_batch-aligned blocks are split into one contiguous share per
-    allowed CPU, and `_run_forked` scores the shares straight into a shared
-    anonymous mapping.  Each block is the same forward on the same rows
-    whoever runs it, so the bytes do not depend on the CPU count."""
-    shape = (*tokens.shape, teacher.config.vocab_size)
-    buf = mmap.mmap(-1, math.prod(shape) * 4)
-    out = np.frombuffer(buf, dtype=np.float32).reshape(shape)
-    starts = range(0, len(tokens), eval_batch)
-    k = min(_allowed_cpus(), len(starts))
-    shares = [starts[j * len(starts) // k : (j + 1) * len(starts) // k] for j in range(k)]
-    work = (teacher, tokens, np.float32(1.0 / cfg.temperature), out, eval_batch)
-    _run_forked([functools.partial(_score_blocks, *work, share) for share in shares])
-    return out
+
+class _TeacherStream:
+    """The KD batches of `draws` (row indices of `columns`, one array per
+    step), each with a fourth column: the teacher's log-probs at the
+    temperature, scored while the student trains on the batches before it.
+
+    Group t is the rows that step t draws and no earlier step drew.  Each
+    group is scored in one no-grad teacher forward into `logp`, a shared
+    anonymous mapping with a row per window; rows no step draws are never
+    scored.  Forked producers, one per further allowed CPU, score group t in
+    producer t mod producers, and step t waits only for group t.  With one
+    allowed CPU, or no OpenBLAS thread setter, the caller scores group t
+    itself just before step t.  Either way the groups, and so the bytes,
+    depend on the draws alone."""
+
+    def __init__(self, teacher: Checkpoint, columns: tuple[np.ndarray, ...], draws: list[np.ndarray],
+                 temperature: float):
+        tokens = columns[0]
+        shape = (*tokens.shape, teacher.config.vocab_size)
+        self.logp = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 4), dtype=np.float32).reshape(shape)
+        self._columns, self._draws = columns, draws
+        drawn = np.zeros(len(tokens), dtype=bool)
+        score = functools.partial(_score_group, teacher, tokens, np.float32(1.0 / temperature), self.logp)
+        self._scorers = []
+        for rows in draws:
+            group = rows[~drawn[rows]]  # a draw's rows are distinct: a slice of one permutation
+            drawn[group] = True
+            self._scorers.append(functools.partial(score, group))
+        self._producers = _fork_width(len(draws))
+        self._forked = None
+        if self._producers:
+            self._forked = _Forked([self._scorers[j :: self._producers] for j in range(self._producers)])
+
+    def __iter__(self):
+        for t, rows in enumerate(self._draws):
+            if self._forked is None:
+                self._scorers[t]()
+            else:
+                self._forked.result(t % self._producers)
+                if t == len(self._draws) - 1:
+                    # every group is in: end the producers and give the
+                    # BLAS threads back for the rest of training
+                    self.close()
+            yield (*(column[rows] for column in self._columns), self.logp[rows])
+
+    def close(self) -> None:
+        """End the producers and restore the BLAS threads (see _Forked.close)."""
+        if self._forked is not None:
+            self._forked.close()
+            self._forked = None
 
 
 def ce_loss(logits: Tensor, batch: tuple) -> Tensor:
@@ -516,26 +632,32 @@ def distill_edge(
     n_sft = 0
     if cfg.steps > 0:
         columns = D.token_windows(corpus.train_docs, vocab, cfg.seq_len)
-        kd_columns = columns
-        if cfg.loss_kind != "ce":
-            # teacher log-probs depend only on the window, so score every
-            # window once up front, as a fourth column, instead of each step
-            kd_columns += (_teacher_logit_cache(teacher, columns[0], cfg),)
         reverse = cfg.loss_kind == "reverse_kl"
-        inv_temperature = 1.0 / cfg.temperature
 
         def loss(logits: Tensor, batch: tuple) -> Tensor:
             # SFT batches and CE-kind KD batches carry no teacher column
             if len(batch) == 3:
                 return ce_loss(logits, batch)
-            return T.masked_kl(logits * inv_temperature, batch[3], batch[2], reverse)
+            return T.masked_kl(logits, batch[3], batch[2], reverse, cfg.temperature)
 
         # SFT warm-up is the stream's first sft_warm_epochs epochs; KD then
         # draws the same stream again from epoch 0, on the same Adam state
         n_sft = cfg.sft_warm_epochs * (len(columns[0]) // cfg.batch)
         sft = islice(D.shuffled(columns, cfg.batch, cfg.seed), n_sft)
-        kd = islice(D.shuffled(kd_columns, cfg.batch, cfg.seed), cfg.steps)
-        params, losses = fit(student_config, params, chain(sft, kd), loss, cfg)
+        stream = None
+        if cfg.loss_kind == "ce":
+            kd = islice(D.shuffled(columns, cfg.batch, cfg.seed), cfg.steps)
+        else:
+            # the same draws, replayed on an index column, tell before the
+            # first step which windows the teacher must score for each step
+            index = (np.arange(len(columns[0])),)
+            draws = [rows for (rows,) in islice(D.shuffled(index, cfg.batch, cfg.seed), cfg.steps)]
+            kd = stream = _TeacherStream(teacher, columns, draws, cfg.temperature)
+        try:
+            params, losses = fit(student_config, params, chain(sft, kd), loss, cfg)
+        finally:
+            if stream is not None:
+                stream.close()
 
     stage = (
         f"distilled-from:{teacher.meta.name} loss={cfg.loss_kind} steps={cfg.steps}"

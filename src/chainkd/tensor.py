@@ -82,11 +82,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
@@ -234,18 +229,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _emit("add", (a, b), a.data + b.data, backward)
-
-
-@_quiet
-def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    b = _coerce(b, a)
-
-    def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _emit("mul", (a, b), a.data * b.data, backward)
 
 
 @_quiet
@@ -606,17 +589,22 @@ def masked_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 @_quiet
-def masked_kl(student_logits: Tensor, teacher_logp: np.ndarray, mask: np.ndarray, reverse: bool) -> Tensor:
+def masked_kl(student_logits: Tensor, teacher_logp: np.ndarray, mask: np.ndarray, reverse: bool,
+              temperature: float = 1.0) -> Tensor:
     """Mean over unmasked positions of KL(S || T) when `reverse`, else of
-    KL(T || S), where S = softmax(student_logits) and T the distribution
-    whose log-probs are `teacher_logp`.  Gradient reaches the student only;
-    the reverse form is MiniLLM's (arXiv:2306.08543)."""
+    KL(T || S), where S = softmax(student_logits / temperature) and T the
+    distribution whose log-probs are `teacher_logp`.  Gradient reaches the
+    student only; the reverse form is MiniLLM's (arXiv:2306.08543).  The
+    logits are scaled as logits * (1 / temperature) in their own dtype, and
+    the gradient by the same factor."""
     teacher_logp = np.asarray(teacher_logp)
     if teacher_logp.shape != student_logits.shape or teacher_logp.dtype != student_logits.dtype:
         raise TensorError(f"teacher log-probs {teacher_logp.shape} {teacher_logp.dtype} do not match "
                           f"the student logits {student_logits.shape} {student_logits.dtype}")
     mask, inv = _mask_weights(mask, student_logits, student_logits.shape[:-1])
-    s_log = _log_softmax(student_logits.data)
+    # a factor of 1 is skipped: x * 1 is x, bit for bit
+    scale = None if temperature == 1.0 else np.asarray(1.0 / temperature, dtype=student_logits.dtype)
+    s_log = _log_softmax(student_logits.data if scale is None else student_logits.data * scale)
     if reverse:
         p, d = np.exp(s_log), s_log - teacher_logp
     else:
@@ -627,9 +615,11 @@ def masked_kl(student_logits: Tensor, teacher_logp: np.ndarray, mask: np.ndarray
         gs = gp * p
         if reverse:
             gs += (gp * d) * p
-            return (_log_softmax_backward(gs, p),)
-        np.negative(gs, out=gs)
-        return (_log_softmax_backward(gs, np.exp(s_log)),)
+            gs = _log_softmax_backward(gs, p)
+        else:
+            np.negative(gs, out=gs)
+            gs = _log_softmax_backward(gs, np.exp(s_log))
+        return (gs if scale is None else gs * scale,)
 
     per_pos = (p * d).sum(axis=-1)
     return _emit("masked_kl", (student_logits,), np.asarray((per_pos * mask).sum() * inv), backward)

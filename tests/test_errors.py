@@ -27,6 +27,7 @@ SAMPLES = [
     distill.DistillError("edge failed"),
     distill.DivergenceError(3, "x"),
     distill.InvalidConfigError("edge 2: seq_len 40 exceeds a model's max_seq_len"),
+    distill._RemoteTraceback("Traceback (most recent call last):\n  ...\nValueError: task 1\n"),
     cli.ConfigError("missing field"),
 ]
 

@@ -1,27 +1,35 @@
-"""The teacher-logit cache gives the same bytes on any number of CPUs.
+"""The teacher stream gives the same bytes on any number of CPUs.
 
-`_teacher_logit_cache` splits its eval_batch-aligned blocks into one share
-per allowed CPU; through `_run_forked`, the caller scores the first share and
-forked workers the rest.  These tests fake the affinity set to cover the
-serial path, several workers, and more CPUs than there are blocks.
+`_TeacherStream` scores, for each KD step, the windows that step draws and
+no earlier step drew (its group) in one teacher forward.  Forked producers,
+one per further allowed CPU, score the groups while the caller trains; with
+one allowed CPU the caller scores each group just before the step that needs
+it.  These tests fake the affinity set to cover the serial path, one and two
+producers, and more CPUs than there are groups, and check that no process is
+left running and the OpenBLAS thread count is restored on every path.
 """
 
-import concurrent.futures
+import mmap
+import multiprocessing
 import os
+import signal
+from contextlib import closing
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from chainkd import data as D
 from chainkd import distill as K
+from chainkd import tokenizers as tok
 from chainkd import transformer as M
-from chainkd.checkpoint import Checkpoint, Meta
-from chainkd.distill import DistillConfig
+from chainkd.checkpoint import Checkpoint, Meta, save
+from chainkd.distill import DistillConfig, DistillError, DivergenceError
 from chainkd.tensor import NonFiniteError, Tensor, no_grad
 
 TEACHER = M.ModelConfig(2, 2, 4, 8, 32, 100, 32)
-EVAL_BATCH = 8
-N_WINDOWS = 45  # six blocks, the last one ragged (5 windows)
-CFG = DistillConfig(steps=1, batch=4, seq_len=12, temperature=2.0)
+N_WINDOWS = 45  # 11 draws of 4 per epoch, one window left out of each
+CFG = DistillConfig(steps=20, batch=4, seq_len=12, temperature=2.0)
 
 
 def _tokens(seed=0, n=N_WINDOWS):
@@ -33,17 +41,29 @@ def _teacher(seed=0):
     return Checkpoint(TEACHER, M.init_random(TEACHER, seed), Meta(name="teacher", seed=seed))
 
 
-def _reference(teacher, tokens):
-    # one forward per block, scaled and log-softmaxed afterwards: the cache's
-    # original serial form
-    out = np.empty((*tokens.shape, TEACHER.vocab_size), dtype=np.float32)
+def _draws(n=N_WINDOWS, steps=CFG.steps, seed=CFG.seed):
+    return [rows for (rows,) in islice(D.shuffled((np.arange(n),), CFG.batch, seed), steps)]
+
+
+def _groups(draws):
+    # for each draw, in order, its rows that no earlier draw holds
+    seen, groups = set(), []
+    for rows in draws:
+        groups.append([r for r in rows.tolist() if r not in seen])
+        seen.update(groups[-1])
+    return groups
+
+
+def _reference(teacher, tokens, draws):
+    # one forward per group, scaled and log-softmaxed afterwards; rows no
+    # draw holds stay zero
+    out = np.zeros((*tokens.shape, TEACHER.vocab_size), dtype=np.float32)
     with no_grad():
-        for i in range(0, len(tokens), EVAL_BATCH):
-            block = tokens[i : i + EVAL_BATCH]
-            out[i : i + len(block)] = M.forward(TEACHER, teacher.params, block).data
-    out *= np.float32(1.0 / CFG.temperature)
-    shifted = out - out.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        for group in filter(None, _groups(draws)):
+            logits = M.forward(TEACHER, teacher.params, tokens[group]).data * np.float32(1.0 / CFG.temperature)
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            out[group] = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return out
 
 
 def _cpus(monkeypatch, n):
@@ -52,87 +72,233 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(K, "_CGROUP_ROOT", "/nonexistent")
 
 
+def _no_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was started on the serial path")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def _stream(teacher, tokens, draws):
+    """Every batch of a stream over the tokens column, and its mapping."""
+    with closing(K._TeacherStream(teacher, (tokens,), draws, CFG.temperature)) as stream:
+        batches = list(stream)
+    assert multiprocessing.active_children() == []
+    return batches, stream.logp
+
+
+@pytest.fixture
+def blas_restored():
+    """Yield the OpenBLAS (get, set), or None, and check after the test that
+    the count is what it was and no process is left running."""
+    blas = K._openblas_threads()
+    before = blas[0]() if blas else None
+    yield blas
+    assert multiprocessing.active_children() == []
+    if blas:
+        assert blas[0]() == before
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-def test_cache_bytes_do_not_depend_on_cpu_count(monkeypatch, cpus):
-    teacher, tokens = _teacher(), _tokens()
-    expected = _reference(teacher, tokens).tobytes()
+def test_cache_bytes_do_not_depend_on_cpu_count(monkeypatch, blas_restored, cpus):
+    teacher, tokens, draws = _teacher(), _tokens(), _draws()
+    expected = _reference(teacher, tokens, draws)
     before = tokens.tobytes()
     _cpus(monkeypatch, cpus)
-    cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
-    assert cache.dtype == np.float32 and cache.shape == (N_WINDOWS, CFG.seq_len, TEACHER.vocab_size)
-    assert cache.tobytes() == expected
+    batches, logp = _stream(teacher, tokens, draws)
+    assert logp.dtype == np.float32 and logp.shape == (N_WINDOWS, CFG.seq_len, TEACHER.vocab_size)
+    assert logp.tobytes() == expected.tobytes()
+    assert len(batches) == len(draws)
+    for (batch_tokens, batch_logp), rows in zip(batches, draws):
+        assert batch_tokens.tobytes() == tokens[rows].tobytes()
+        assert batch_logp.tobytes() == expected[rows].tobytes()
     assert tokens.tobytes() == before
 
 
-def test_fewer_windows_than_one_block(monkeypatch):
-    teacher, tokens = _teacher(1), _tokens(1, n=3)
+def test_fewer_steps_than_producers(monkeypatch, blas_restored):
+    teacher, tokens, draws = _teacher(1), _tokens(1), _draws(steps=2)
     _cpus(monkeypatch, 4)
-    cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
-    assert cache.tobytes() == _reference(teacher, tokens).tobytes()
+    _, logp = _stream(teacher, tokens, draws)
+    assert logp.tobytes() == _reference(teacher, tokens, draws).tobytes()
 
 
 def test_no_affinity_call_scores_serially_without_a_pool(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was created on the serial path")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    teacher, tokens = _teacher(2), _tokens(2)
-    cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
-    assert cache.tobytes() == _reference(teacher, tokens).tobytes()
+    _no_fork(monkeypatch)
+    teacher, tokens, draws = _teacher(2), _tokens(2), _draws()
+    _, logp = _stream(teacher, tokens, draws)
+    assert logp.tobytes() == _reference(teacher, tokens, draws).tobytes()
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_overflowing_teacher_raises_the_same_error(monkeypatch, cpus):
-    # token 7's embedding row sums past f32 max, so only windows holding it
-    # fail; they sit in the third block, which a worker scores when there
-    # are three CPUs (an untied head keeps the row out of every logit)
+def _overflowing_teacher(token=7):
+    # the token's embedding row sums past f32 max, so only windows holding it
+    # fail (an untied head keeps the row out of every logit)
     config = M.ModelConfig(2, 2, 4, 8, 32, 100, 32, tied_lm_head=False)
     params = M.init_random(config, 3)
     table = params["embed.tok"].data.copy()
-    table[7] = 3e38
+    table[token] = 3e38
     params["embed.tok"] = Tensor(table)
-    tokens = _tokens(3)
+    return Checkpoint(config, params, Meta(name="t", seed=3))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_overflowing_teacher_raises_the_same_error(monkeypatch, blas_restored, cpus):
+    # the window holding token 7 is first drawn at step 6, which the second
+    # of two producers scores when there are three CPUs
+    tokens, draws = _tokens(3), _draws()
     tokens[tokens == 7] = 8
-    tokens[2 * EVAL_BATCH + 2, 4] = 7
+    tokens[draws[5][2], 4] = 7
     _cpus(monkeypatch, cpus)
+    seen = []
     with pytest.raises(NonFiniteError) as info:
-        K._teacher_logit_cache(Checkpoint(config, params, Meta(name="t", seed=3)), tokens, CFG,
-                               eval_batch=EVAL_BATCH)
+        with closing(K._TeacherStream(_overflowing_teacher(), (tokens,), draws, CFG.temperature)) as stream:
+            seen.extend(stream)
+    assert len(seen) == 5
     assert info.value.op == "layer_norm"
     assert str(info.value) == "operation 'layer_norm' produced non-finite values"
-    # a worker's error arrives with its remote traceback as the cause
+    # a producer's error arrives with its remote traceback as the cause
     assert (info.value.__cause__ is not None) == (cpus > 1)
 
 
-def test_every_process_scores_with_one_blas_thread(monkeypatch):
+def test_every_process_scores_with_one_blas_thread(monkeypatch, blas_restored):
     # k processes of multi-threaded BLAS on k CPUs busy-wait on each other;
-    # the pool holds OpenBLAS to one thread and gives the count back after
-    blas = K._openblas_threads()
-    teacher, tokens = _teacher(4), _tokens(4)
+    # the producers hold OpenBLAS to one thread and give the count back once
+    # the last group is in
+    teacher, tokens, draws = _teacher(4), _tokens(4), _draws()
     _cpus(monkeypatch, 3)
-    if blas is None:
+    if blas_restored is None:
         # no OpenBLAS whose thread count can be set: the caller scores alone
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created without a way to pin BLAS threads")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
+        _no_fork(monkeypatch)
+        _stream(teacher, tokens, draws)
         return
-    get_threads, set_threads = blas
-    score = K._score_blocks
+    get_threads, set_threads = blas_restored
+    score, parent = K._score_group, os.getpid()
 
     def one_thread(*args):
-        assert get_threads() == 1
+        assert os.getpid() != parent and get_threads() == 1
         score(*args)
 
-    monkeypatch.setattr(K, "_score_blocks", one_thread)
+    monkeypatch.setattr(K, "_score_group", one_thread)
     before = get_threads()
     set_threads(2)
     try:
-        cache = K._teacher_logit_cache(teacher, tokens, CFG, eval_batch=EVAL_BATCH)
-        assert get_threads() == 2
+        with closing(K._TeacherStream(teacher, (tokens,), draws, CFG.temperature)) as stream:
+            batches = iter(stream)
+            next(batches)
+            assert get_threads() == 1  # the student trains beside the producers on one thread
+            rest = list(batches)
+            assert get_threads() == 2  # every group is in: the producers are gone
+        assert len(rest) == len(draws) - 1 and multiprocessing.active_children() == []
     finally:
         set_threads(before)
-    assert cache.tobytes() == _reference(teacher, tokens).tobytes()
+    assert stream.logp.tobytes() == _reference(teacher, tokens, draws).tobytes()
+
+
+# -- distill_edge on the stream ----------------------------------------------------------
+
+CHAR = tok.char_vocab()
+STUDENT = M.ModelConfig(1, 2, 4, 8, 16, 100, 32)
+EDGE_RUNS = {
+    "reverse_kl_sft": DistillConfig(steps=12, batch=4, seq_len=16, seed=2, sft_warm_epochs=1),
+    "forward_kl": DistillConfig(steps=12, batch=4, seq_len=16, seed=3, loss_kind="forward_kl", temperature=2.0,
+                                sft_warm_epochs=0),
+}
+
+
+def _corpus():
+    return D.gen_markov(11, n_docs=16, doc_len=40, order=1, alphabet="abcdefgh")
+
+
+def _edge_bytes(tmp_path, cfg, teacher=None):
+    student = K.distill_edge(teacher or _teacher(5), STUDENT, _corpus(), CHAR, cfg)
+    save(student, str(tmp_path / "student.cbdc"))
+    return (tmp_path / "student.cbdc").read_bytes()
+
+
+@pytest.mark.parametrize("run", sorted(EDGE_RUNS))
+def test_edge_bytes_do_not_depend_on_cpu_count(monkeypatch, tmp_path, blas_restored, run):
+    expected = None
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        got = _edge_bytes(tmp_path, EDGE_RUNS[run])
+        expected = expected or got
+        assert got == expected, cpus
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_only_drawn_windows_are_scored(monkeypatch, tmp_path, blas_restored, cpus):
+    # the KD steps draw 48 of the corpus's windows (three epochs of 4 draws of
+    # 4, each epoch leaving some out); each is scored once, the rest never.
+    # The count is kept in a shared mapping, so forked producers add to it.
+    cfg = DistillConfig(steps=12, batch=4, seq_len=16, seed=4, sft_warm_epochs=1)
+    n = len(D.token_windows(_corpus().train_docs, CHAR, cfg.seq_len)[0])
+    scored = np.frombuffer(mmap.mmap(-1, n * 8), dtype=np.int64)
+    score, forward = K._score_group, M.forward
+    teacher_rows = []
+
+    def counted_score(teacher, tokens, inv_temperature, logp, rows):
+        scored[rows] += 1  # groups are disjoint, so two producers never add to one row
+        score(teacher, tokens, inv_temperature, logp, rows)
+
+    def counted_forward(config, params, tokens, *args):
+        if config == TEACHER:
+            teacher_rows.append(len(tokens))
+        return forward(config, params, tokens, *args)
+
+    monkeypatch.setattr(K, "_score_group", counted_score)
+    monkeypatch.setattr(M, "forward", counted_forward)
+    _cpus(monkeypatch, cpus)
+    _edge_bytes(tmp_path, cfg)
+    drawn = np.unique(np.concatenate(_draws(n, cfg.steps, cfg.seed)))
+    assert len(drawn) < n
+    assert scored[drawn].tolist() == [1] * len(drawn)
+    assert scored.sum() == len(drawn)
+    # the caller runs the teacher only on the serial path, and there on
+    # exactly the drawn windows
+    assert sum(teacher_rows) == (len(drawn) if cpus == 1 else 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_edge_with_an_overflowing_teacher_raises_non_finite(monkeypatch, tmp_path, blas_restored, cpus):
+    # a random-init student needs no teacher of its shape; the overflowing
+    # token is "a", which the first KD step draws
+    _cpus(monkeypatch, cpus)
+    cfg = DistillConfig(steps=12, batch=4, seq_len=16, seed=2, sft_warm_epochs=1, init_from_teacher=False)
+    with pytest.raises(NonFiniteError) as info:
+        _edge_bytes(tmp_path, cfg, _overflowing_teacher(tok.encode(CHAR, "a")[0]))
+    assert info.value.op == "layer_norm"
+
+
+def test_student_divergence_ends_the_producers(monkeypatch, tmp_path, blas_restored):
+    # lr=1e30 unclipped fails at step 2, while the producers still score
+    _cpus(monkeypatch, 3)
+    cfg = DistillConfig(steps=40, batch=4, seq_len=16, lr=1e30, grad_clip=None, sft_warm_epochs=0)
+    with pytest.raises(DivergenceError):
+        _edge_bytes(tmp_path, cfg)
+
+
+def test_a_dead_producer_raises_instead_of_hanging(monkeypatch, tmp_path, blas_restored):
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    parent = os.getpid()
+    score = K._score_group
+
+    def die(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        score(*args)
+
+    def hung(signum, frame):
+        raise AssertionError("the caller waited on a dead producer")
+
+    monkeypatch.setattr(K, "_score_group", die)
+    _cpus(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(DistillError, match="exit code 7"):
+            _edge_bytes(tmp_path, EDGE_RUNS["reverse_kl_sft"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

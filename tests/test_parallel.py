@@ -7,7 +7,6 @@ serial path and several workers, and check that results, errors and report
 bytes are those of a serial pass, with no process left running.
 """
 
-import concurrent.futures
 import multiprocessing
 import os
 import time
@@ -35,10 +34,10 @@ def _cpus(monkeypatch, n, cgroup_root="/nonexistent"):
 
 
 def _no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was created on the serial path")
+    def no_fork():
+        raise AssertionError("a process was started on the serial path")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 def _ckpt(seed, name, blowup=False):
@@ -125,6 +124,16 @@ def test_raises_the_first_error_in_task_order(monkeypatch, cpus):
     # the caller's own failure comes first of all
     with pytest.raises(ValueError, match="task 0"):
         K._run_forked([_fail("task 0", delay=0.3), _fail("task 1"), _fail("task 2")])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_raises_and_the_rest_are_joined(monkeypatch):
+    _cpus(monkeypatch, 3)
+    if K._openblas_threads() is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    # task 1's worker dies; task 2's worker is still sleeping when it does
+    with pytest.raises(K.DistillError, match="exit code 5"):
+        K._run_forked([lambda: 0, lambda: os._exit(5), lambda: time.sleep(30)])
     assert multiprocessing.active_children() == []
 
 

@@ -145,8 +145,8 @@ class TestValueAndGrad:
         assert np.array_equal(grads[0].data, np.ones((2, 3)))
 
     def test_quadratic_gives_2p(self):
-        p = t64([1.0, -2.0, 3.0])
-        _, grads = value_and_grad(lambda ps: (ps[0] * ps[0]).sum(), [p])
+        p = t64([[1.0, -2.0, 3.0]])
+        _, grads = value_and_grad(lambda ps: T.matmul(ps[0], ps[0].transpose((1, 0))).sum(), [p])
         assert np.allclose(grads[0].data, 2.0 * p.data, atol=1e-12)
 
     def test_untouched_param_gets_zeros(self):
@@ -158,13 +158,13 @@ class TestValueAndGrad:
     def test_nonscalar_rejected(self):
         p = t64([1.0, 2.0])
         with pytest.raises(TensorError):
-            value_and_grad(lambda ps: ps[0] * 2.0, [p])
+            value_and_grad(lambda ps: ps[0] + 2.0, [p])
 
 
 class TestGradCheck:
     def test_linear_is_exact(self):
         p = t64(np.linspace(-1, 1, 5))
-        err = grad_check(lambda ps: (ps[0] * 3.0).sum(), [p])
+        err = grad_check(lambda ps: (ps[0] + ps[0] + ps[0]).sum(), [p])
         assert err < 1e-10
 
     def test_softmax_cross_entropy(self):
@@ -194,7 +194,7 @@ class TestTapeAndInvariants:
     def test_no_recording_without_tape(self):
         p = t64([1.0, 2.0])
         p.requires_grad = True
-        out = (p * p).sum()
+        out = (p + p).sum()
         assert out.grad is None and p.grad is None
 
     def test_non_trainable_gets_no_grad(self):
@@ -202,7 +202,7 @@ class TestTapeAndInvariants:
         c = t64([3.0, 4.0])
         p.requires_grad = True
         with GradTape() as tape:
-            out = (p * c).sum()
+            out = (p + c).sum()
         tape.backward(out)
         assert p.grad is not None
         assert c.grad is None
@@ -351,6 +351,12 @@ KERNEL_SHAPES = {
 }
 
 
+def _weighted_sum(y, weights):
+    # sum(y * weights) as one tape entry, whose gradient with respect to y is
+    # the weights themselves, bit for bit
+    return T._emit("weighted_sum", (y,), np.asarray((y.data * weights).sum()), lambda g: (g * weights,))
+
+
 def _assert_bytes_match(fn, ref, arrays, rng):
     """Forward and backward of the tape op `fn` on f32 `arrays` equal those
     of its numpy reference byte for byte, and leave the inputs unchanged."""
@@ -360,14 +366,13 @@ def _assert_bytes_match(fn, ref, arrays, rng):
         t.requires_grad = True
     with GradTape() as tape:
         y = fn(*inputs)
-        upstream = Tensor(_f32(rng, y.shape))
-        # d(sum(y * upstream))/dy is upstream itself, bit for bit
-        loss = (y * upstream).sum()
+        upstream = _f32(rng, y.shape)
+        loss = _weighted_sum(y, upstream)
     tape.backward(loss)
 
     with np.errstate(all="ignore"):
         ref_y, ref_backward = ref(*arrays)
-        ref_grads = ref_backward(upstream.data)
+        ref_grads = ref_backward(upstream)
     assert y.data.tobytes() == np.asarray(ref_y, dtype=np.float32).tobytes()
     for t, g in zip(inputs, ref_grads):
         assert t.grad.dtype == np.float32
@@ -377,10 +382,10 @@ def _assert_bytes_match(fn, ref, arrays, rng):
 
 def _assert_grad_check(fn, arrays, rng):
     params = [Tensor(a.astype(np.float64) * 0.5, dtype=F64) for a in arrays]
-    weights = Tensor(rng.normal(size=fn(*params).shape), dtype=F64)
+    weights = rng.normal(size=fn(*params).shape)
 
     def f(ps):
-        return (fn(*ps) * weights).sum()
+        return _weighted_sum(fn(*ps), weights)
 
     assert grad_check(f, params) < 1e-6
 
@@ -458,10 +463,11 @@ def _ref_nll(logits, targets, mask):
     return (nll * mask).sum() * inv, backward
 
 
-def _ref_kl(student, teacher_logp, mask, reverse):
-    # log_softmax, exp, sub, mul, sum over the vocabulary, mask mul, sum,
-    # 1/count mul
-    s_log = _ref_log_softmax(student)
+def _ref_kl(student, teacher_logp, mask, reverse, temperature):
+    # 1/temperature mul, log_softmax, exp, sub, mul, sum over the vocabulary,
+    # mask mul, sum, 1/count mul
+    scale = np.asarray(1.0 / temperature, dtype=student.dtype)
+    s_log = _ref_log_softmax(student * scale)
     if reverse:
         e = np.exp(s_log)
         d = s_log - teacher_logp
@@ -475,7 +481,7 @@ def _ref_kl(student, teacher_logp, mask, reverse):
         gsum = np.broadcast_to(gpos[..., None], student.shape).astype(student.dtype)
         # reverse: the sub's gradient, then the exp's added to it
         gs = gsum * e + (gsum * d) * e if reverse else -(gsum * e)
-        return (gs - np.exp(s_log) * gs.sum(axis=-1, keepdims=True),)
+        return ((gs - np.exp(s_log) * gs.sum(axis=-1, keepdims=True)) * scale,)
 
     return ((e * d).sum(axis=-1) * mask).sum() * inv, backward
 
@@ -500,10 +506,11 @@ def _fused_case(op, shape, rng, dtype=np.float32):
     if op == "masked_nll":
         targets = rng.integers(0, shape[-1], size=shape[:-1])
         return ((lambda x: T.masked_nll(x, targets, mask)), (lambda x: _ref_nll(x, targets, mask)), [logits])
-    reverse = op == "masked_kl_reverse"
+    reverse = op.startswith("masked_kl_reverse")
+    temperature = 3.0 if op.endswith("_t3") else 1.0
     teacher_logp = _ref_log_softmax(_f32(rng, shape, 3.0).astype(dtype))
-    return ((lambda x: T.masked_kl(x, teacher_logp, mask, reverse)),
-            (lambda x: _ref_kl(x, teacher_logp, mask, reverse)), [logits])
+    return ((lambda x: T.masked_kl(x, teacher_logp, mask, reverse, temperature)),
+            (lambda x: _ref_kl(x, teacher_logp, mask, reverse, temperature)), [logits])
 
 
 ATTENTION_HEADS = {2: 1, 4: 2, 64: 4}  # inner width -> heads
@@ -512,6 +519,10 @@ FUSED_SHAPES = {
     "masked_nll": [(1, 1, 7), (32, 48, 100)],
     "masked_kl_reverse": [(1, 1, 7), (32, 48, 100)],
     "masked_kl_forward": [(1, 1, 7), (32, 48, 100)],
+    # the KD temperature, folded into the op: 1/3 rounds, so the order of
+    # the scaling shows in the bytes
+    "masked_kl_reverse_t3": [(1, 1, 7), (32, 48, 100)],
+    "masked_kl_forward_t3": [(1, 1, 7), (32, 48, 100)],
 }
 
 
