@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -25,6 +24,7 @@ from . import tensor as T
 from . import transformer as M
 # nothing here calls load_checkpoint: perfbench/test_tracer.py probes it by this name
 from .checkpoint import Checkpoint, Meta, load as load_checkpoint
+from .procs import _Forked, _fork_width, _run_forked
 from .surgery import apply_transform, plan_subset
 from .tensor import GradTape, NonFiniteError, Tensor, no_grad
 from .tokenizers import Vocabulary, decode, encode, get_vocab
@@ -276,199 +276,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 # -- training loop ------------------------------------------------------------------
 
 
-_CGROUP_ROOT = "/sys/fs/cgroup"
-
-
-def _cgroup_cpus() -> int | None:
-    """ceil(quota / period) of the cgroup CPU quota under _CGROUP_ROOT: v2's
-    cpu.max, else v1's cpu/cpu.cfs_quota_us over cpu/cpu.cfs_period_us.  None
-    where there is no quota ("max", -1) or no file can be read or parsed."""
-    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
-        fields = []
-        try:
-            for name in names:
-                with open(os.path.join(_CGROUP_ROOT, name)) as fh:
-                    fields += fh.read().split()
-        except OSError:
-            continue
-        try:
-            quota, period = map(int, fields)
-        except ValueError:
-            return None
-        return -(-quota // period) if quota > 0 and period > 0 else None
-    return None
-
-
-def _allowed_cpus() -> int:
-    """The CPUs in this process's affinity set, capped by its cgroup CPU quota."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else 1
-    quota = _cgroup_cpus()
-    return cpus if quota is None else max(1, min(cpus, quota))
-
-
-_OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS this process has
-    loaded, or None where no such OpenBLAS can be found: another BLAS, or no
-    /proc/self/maps to find it by."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {fields[5].rstrip("\n") for fields in (line.split(maxsplit=5) for line in maps)
-                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in _OPENBLAS_SYMBOLS:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype = ctypes.c_int
-                set_.argtypes = [ctypes.c_int]
-                return get, set_
-    return None
-
-
-class _RemoteTraceback(Exception):
-    """The traceback of an error raised in a forked worker, chained as its cause."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _serve(sender, tasks: list) -> None:
-    # the body of a forked worker: send (True, result) for each task in
-    # order, or (False, (error, traceback)) for the first that fails
-    try:
-        for task in tasks:
-            sender.send((True, task()))
-    except Exception as e:
-        import traceback
-
-        trace = traceback.format_exc()
-        try:
-            sender.send((False, (e, trace)))
-        except Exception:  # an error that cannot be pickled
-            sender.send((False, (DistillError(f"{type(e).__name__}: {e}"), trace)))
-
-
-class _Forked:
-    """Forked workers, one per list of zero-argument tasks.  Each calls its
-    tasks in order and sends each result back through its own pipe, or the
-    first error with its traceback, then exits.  A worker inherits its tasks
-    and all they reference (a shared mapping stays shared), so only results
-    are pickled.
-
-    OpenBLAS is held to one thread in every process from the fork until
-    `close`, so k processes use k CPUs: k processes of multi-threaded BLAS on
-    k CPUs busy-wait on each other and run slower than one process alone.
-    `close` (also the context exit) kills the workers whose results have not
-    all been read, joins every worker and restores the thread count."""
-
-    def __init__(self, task_lists: list[list]):
-        # imported here: multiprocessing adds about 2 MB to the peak RSS of
-        # a process that never forks
-        import multiprocessing
-
-        get_blas_threads, self._set_blas_threads = _openblas_threads()
-        self._blas_threads = get_blas_threads()
-        # set before the fork, so the workers inherit the single thread
-        self._set_blas_threads(1)
-        self._workers: list[list] = []  # [process, receiving end, results not yet read]
-        try:
-            # fork, so the workers inherit the tasks' inputs instead of pickles
-            context = multiprocessing.get_context("fork")
-            for tasks in task_lists:
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(target=_serve, args=(sender, tasks), daemon=True)
-                try:
-                    process.start()
-                finally:
-                    sender.close()  # the worker holds the only sending end: EOF once it is gone
-                self._workers.append([process, receiver, len(tasks)])
-        except BaseException:
-            self.close()
-            raise
-
-    def result(self, j: int):
-        """The next result of worker j, in its task order.  Raises that
-        task's error, or DistillError if the worker ended without sending
-        it: the wait also watches the worker's sentinel, so a worker that
-        dies cannot leave the caller waiting."""
-        from multiprocessing.connection import wait
-
-        worker = self._workers[j]
-        process, receiver, _ = worker
-        wait([receiver, process.sentinel])
-        try:
-            # what a worker sent before it ended is still in the pipe
-            message = receiver.recv() if receiver.poll() else None
-        except (EOFError, OSError):
-            message = None
-        if message is None:
-            process.join()
-            raise DistillError(f"forked worker {process.pid} ended with exit code {process.exitcode}"
-                               " before sending its result")
-        worker[2] -= 1
-        ok, value = message
-        if not ok:
-            error, trace = value
-            raise error from _RemoteTraceback(trace)
-        return value
-
-    def close(self) -> None:
-        workers, self._workers = self._workers, []
-        try:
-            for process, _, pending in workers:
-                if pending:
-                    process.kill()
-            for process, receiver, _ in workers:
-                process.join()
-                receiver.close()
-        finally:
-            if self._blas_threads is not None:
-                self._set_blas_threads(self._blas_threads)
-                self._blas_threads = None
-
-    def __enter__(self) -> "_Forked":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _fork_width(n_tasks: int) -> int:
-    """How many forked workers may run beside the caller: one per further
-    allowed CPU, at most n_tasks, and none where the OpenBLAS thread count
-    cannot be set (another BLAS), since every process must hold one thread."""
-    k = min(_allowed_cpus() - 1, n_tasks)
-    return k if k > 0 and _openblas_threads() is not None else 0
-
-
-def _run_forked(tasks: list) -> list:
-    """Call each zero-argument task and return the results in task order.
-
-    The caller runs the first task while forked workers, one per further
-    allowed CPU, run the others, task i in worker (i - 1) mod workers.  A
-    failure raises what a serial pass would raise first, and every worker
-    is joined before this returns or raises.  With one allowed CPU, or where
-    the OpenBLAS thread count cannot be set, the caller runs every task
-    itself and starts no process."""
-    n = _fork_width(len(tasks) - 1)
-    if n == 0:
-        return [task() for task in tasks]
-    with _Forked([tasks[1 + j :: n] for j in range(n)]) as forked:
-        first = tasks[0]()
-        # in task order, so a failure raises what a serial pass would
-        return [first, *(forked.result(i % n) for i in range(len(tasks) - 1))]
-
-
 def _score_group(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.float32, logp: np.ndarray,
                  rows: np.ndarray) -> None:
     """Write the teacher log-probs at the temperature, log_softmax(logits / T),
@@ -487,12 +294,14 @@ class _TeacherStream:
     temperature, scored while the student trains on the batches before it.
 
     Group t is the rows that step t draws and no earlier step drew.  Each
-    group is scored in one no-grad teacher forward into `logp`, a shared
-    anonymous mapping with a row per window; rows no step draws are never
-    scored.  Forked producers, one per further allowed CPU, score group t in
-    producer t mod producers, and step t waits only for group t.  With one
-    allowed CPU, or no OpenBLAS thread setter, the caller scores group t
-    itself just before step t.  Either way the groups, and so the bytes,
+    non-empty group is scored in one no-grad teacher forward into `logp`, a
+    shared anonymous mapping with a row per window; rows no step draws are
+    never scored.  Forked producers, one per spare CPU, score the i-th
+    non-empty group in producer i mod producers, and a step waits only for
+    its own group.  Once the last non-empty group is in, the producers end,
+    so the rest of training gets their CPUs and the BLAS threads back.  With
+    no spare CPU, or no OpenBLAS thread setter, the caller scores each group
+    itself just before its step.  Either way the groups, and so the bytes,
     depend on the draws alone."""
 
     def __init__(self, teacher: Checkpoint, columns: tuple[np.ndarray, ...], draws: list[np.ndarray],
@@ -503,26 +312,27 @@ class _TeacherStream:
         self._columns, self._draws = columns, draws
         drawn = np.zeros(len(tokens), dtype=bool)
         score = functools.partial(_score_group, teacher, tokens, np.float32(1.0 / temperature), self.logp)
-        self._scorers = []
-        for rows in draws:
+        self._scorers, self._group_at = [], {}  # the non-empty groups' scorers; step -> index among them
+        for t, rows in enumerate(draws):
             group = rows[~drawn[rows]]  # a draw's rows are distinct: a slice of one permutation
-            drawn[group] = True
-            self._scorers.append(functools.partial(score, group))
-        self._producers = _fork_width(len(draws))
+            if len(group):
+                drawn[group] = True
+                self._group_at[t] = len(self._scorers)
+                self._scorers.append(functools.partial(score, group))
+        self._producers = _fork_width(len(self._scorers))
         self._forked = None
         if self._producers:
             self._forked = _Forked([self._scorers[j :: self._producers] for j in range(self._producers)])
 
     def __iter__(self):
         for t, rows in enumerate(self._draws):
-            if self._forked is None:
-                self._scorers[t]()
-            else:
-                self._forked.result(t % self._producers)
-                if t == len(self._draws) - 1:
-                    # every group is in: end the producers and give the
-                    # BLAS threads back for the rest of training
-                    self.close()
+            i = self._group_at.get(t)
+            if i is not None and self._forked is None:
+                self._scorers[i]()
+            elif i is not None:
+                self._forked.result(i % self._producers)
+                if i == len(self._scorers) - 1:
+                    self.close()  # every group is in
             yield (*(column[rows] for column in self._columns), self.logp[rows])
 
     def close(self) -> None:
@@ -577,25 +387,39 @@ def fit(config: ModelConfig, params: M.ParamSet, batches, loss, cfg: DistillConf
     return params, losses
 
 
-def mean_nll(config: ModelConfig, params: M.ParamSet, batches) -> float:
-    """Aggregate mean NLL per unmasked position over (tokens, targets, mask)
-    batches, scored without a tape."""
+def _nll_sums(config: ModelConfig, params: M.ParamSet, batch: tuple) -> tuple[float, float]:
+    """(sum of NLL over unmasked positions, count of unmasked positions) of
+    one (tokens, targets, mask) batch, scored without a tape."""
+    tokens, targets, mask = batch
+    with no_grad():
+        nll, _ = T._nll_rows(M.forward(config, params, tokens).data, targets)
+    return float((nll * mask).sum()), float(mask.sum())
+
+
+def _mean(sums) -> float:
+    # added in batch order, so every caller gets the bytes of one serial pass
     total = 0.0
     count = 0.0
-    with no_grad():
-        for tokens, targets, mask in batches:
-            nll, _ = T._nll_rows(M.forward(config, params, tokens).data, targets)
-            total += float((nll * mask).sum())
-            count += float(mask.sum())
+    for nll, n in sums:
+        total += nll
+        count += n
     if count == 0.0:
         raise DistillError("evaluation split has no unmasked positions")
     return total / count
 
 
+def mean_nll(config: ModelConfig, params: M.ParamSet, batches) -> float:
+    """Aggregate mean NLL per unmasked position over (tokens, targets, mask)
+    batches, scored without a tape in this process."""
+    return _mean(_nll_sums(config, params, batch) for batch in batches)
+
+
 def eval_ce(config: ModelConfig, params: M.ParamSet, docs: list[str], vocab: Vocabulary,
             batch: int = 16, seq_len: int = 48) -> float:
-    """mean_nll over every window of a split."""
-    return mean_nll(config, params, D.in_order(D.token_windows(docs, vocab, seq_len), batch))
+    """mean_nll over every window of a split, its batches split across the
+    spare CPUs (see procs._run_forked); the same bytes on any CPU count."""
+    batches = D.in_order(D.token_windows(docs, vocab, seq_len), batch)
+    return _mean(_run_forked([functools.partial(_nll_sums, config, params, b) for b in batches]))
 
 
 def train_lm(config: ModelConfig, corpus: D.Corpus, vocab: Vocabulary, cfg: DistillConfig,

@@ -19,7 +19,8 @@ import numpy as np
 from . import data as D
 from . import transformer as M
 from .checkpoint import Checkpoint
-from .distill import DistillConfig, _run_forked, ce_loss, eval_ce, fit, mean_nll
+from .distill import DistillConfig, ce_loss, eval_ce, fit, mean_nll
+from .procs import _run_forked
 from .surgery import interpolate
 from .tokenizers import Vocabulary
 from .transformer import ModelConfig
@@ -218,6 +219,12 @@ def compare_init(
     return reports[0], reports[1]
 
 
+def _sweep_point(small: Checkpoint, large: Checkpoint, dst_config: ModelConfig, alpha: float, val: D.Batch,
+                 batch: int) -> float:
+    ckpt = interpolate(small, large, dst_config, alpha)
+    return mean_nll(ckpt.config, ckpt.params, D.in_order(val, batch))
+
+
 def alpha_sweep(
     small: Checkpoint,
     large: Checkpoint,
@@ -233,13 +240,10 @@ def alpha_sweep(
     if not alphas:
         raise EvalError("alpha_sweep needs at least one alpha")
     val = D.token_windows(corpus.val_docs, vocab, min(seq_len, dst_config.max_seq_len))
-    curves: dict[str, Curve] = {}
-    losses = []
-    for a in alphas:
-        ckpt = interpolate(small, large, dst_config, a)
-        loss = mean_nll(ckpt.config, ckpt.params, D.in_order(val, batch))
-        curves[f"alpha={a:g}"] = [(0, loss)]
-        losses.append((loss, a))
+    # one task per alpha, split across the spare CPUs
+    scores = _run_forked([partial(_sweep_point, small, large, dst_config, a, val, batch) for a in alphas])
+    losses = list(zip(scores, alphas))
+    curves: dict[str, Curve] = {f"alpha={a:g}": [(0, loss)] for loss, a in losses}
     best_loss, best_alpha = min(losses)
     metrics = {f"loss@alpha={a:g}": loss for loss, a in losses}
     metrics["argmin_alpha"] = best_alpha

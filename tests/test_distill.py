@@ -8,6 +8,7 @@ import pytest
 from chainkd import data as D
 from chainkd import distill as K
 from chainkd import evaluate as E
+from chainkd import procs as P
 from chainkd import tokenizers as tok
 from chainkd import transformer as M
 from chainkd.checkpoint import Checkpoint, Meta
@@ -49,7 +50,7 @@ def corpus():
 def cpus(monkeypatch, n):
     # n allowed CPUs: the affinity set, and no cgroup quota to cap it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(K, "_CGROUP_ROOT", "/nonexistent")
+    monkeypatch.setattr(P, "_CGROUP_ROOT", "/nonexistent")
 
 
 # the 2-class pair behind the scalar oracles: S=(0.9,0.1), T=(0.5,0.5)
@@ -477,7 +478,7 @@ class TestOneFitPerStage:
         fit_calls.clear()
         cpus(monkeypatch, 2)
         parallel = self.compare()
-        assert fit_calls == [SMALL_S] * (1 if K._openblas_threads() is not None else 2)
+        assert fit_calls == [SMALL_S] * (1 if P._openblas_threads() is not None else 2)
         assert [(r.curves, r.metrics) for r in parallel] == [(r.curves, r.metrics) for r in serial]
 
 

@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 import chainkd
-from chainkd import checkpoint, cli, distill, evaluate, surgery, tensor
+from chainkd import checkpoint, cli, distill, evaluate, procs, surgery, tensor
 
 SAMPLES = [
     tensor.TensorError("bad shape"),
@@ -27,7 +27,7 @@ SAMPLES = [
     distill.DistillError("edge failed"),
     distill.DivergenceError(3, "x"),
     distill.InvalidConfigError("edge 2: seq_len 40 exceeds a model's max_seq_len"),
-    distill._RemoteTraceback("Traceback (most recent call last):\n  ...\nValueError: task 1\n"),
+    procs._RemoteTraceback("Traceback (most recent call last):\n  ...\nValueError: task 1\n"),
     cli.ConfigError("missing field"),
 ]
 

@@ -21,6 +21,7 @@ import pytest
 
 from chainkd import data as D
 from chainkd import distill as K
+from chainkd import procs as P
 from chainkd import tokenizers as tok
 from chainkd import transformer as M
 from chainkd.checkpoint import Checkpoint, Meta, save
@@ -69,7 +70,7 @@ def _reference(teacher, tokens, draws):
 def _cpus(monkeypatch, n):
     # n allowed CPUs: the affinity set, and no cgroup quota to cap it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(K, "_CGROUP_ROOT", "/nonexistent")
+    monkeypatch.setattr(P, "_CGROUP_ROOT", "/nonexistent")
 
 
 def _no_fork(monkeypatch):
@@ -85,18 +86,6 @@ def _stream(teacher, tokens, draws):
         batches = list(stream)
     assert multiprocessing.active_children() == []
     return batches, stream.logp
-
-
-@pytest.fixture
-def blas_restored():
-    """Yield the OpenBLAS (get, set), or None, and check after the test that
-    the count is what it was and no process is left running."""
-    blas = K._openblas_threads()
-    before = blas[0]() if blas else None
-    yield blas
-    assert multiprocessing.active_children() == []
-    if blas:
-        assert blas[0]() == before
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
@@ -233,12 +222,12 @@ def test_only_drawn_windows_are_scored(monkeypatch, tmp_path, blas_restored, cpu
     # The count is kept in a shared mapping, so forked producers add to it.
     cfg = DistillConfig(steps=12, batch=4, seq_len=16, seed=4, sft_warm_epochs=1)
     n = len(D.token_windows(_corpus().train_docs, CHAR, cfg.seq_len)[0])
-    scored = np.frombuffer(mmap.mmap(-1, n * 8), dtype=np.int64)
+    scored = np.frombuffer(mmap.mmap(-1, n * 8 + 8), dtype=np.int64)  # a count per row, then empty groups
     score, forward = K._score_group, M.forward
     teacher_rows = []
 
     def counted_score(teacher, tokens, inv_temperature, logp, rows):
-        scored[rows] += 1  # groups are disjoint, so two producers never add to one row
+        scored[rows if len(rows) else n] += 1  # groups are disjoint, so two producers never add to one row
         score(teacher, tokens, inv_temperature, logp, rows)
 
     def counted_forward(config, params, tokens, *args):
@@ -253,7 +242,7 @@ def test_only_drawn_windows_are_scored(monkeypatch, tmp_path, blas_restored, cpu
     drawn = np.unique(np.concatenate(_draws(n, cfg.steps, cfg.seed)))
     assert len(drawn) < n
     assert scored[drawn].tolist() == [1] * len(drawn)
-    assert scored.sum() == len(drawn)
+    assert scored.sum() == len(drawn)  # and no scorer was built for an empty group
     # the caller runs the teacher only on the serial path, and there on
     # exactly the drawn windows
     assert sum(teacher_rows) == (len(drawn) if cpus == 1 else 0)
@@ -302,3 +291,36 @@ def test_a_dead_producer_raises_instead_of_hanging(monkeypatch, tmp_path, blas_r
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_producers_end_after_the_last_group(monkeypatch, tmp_path, blas_restored):
+    # 40 KD steps draw every window they ever draw well before the last step:
+    # the producers end once the last non-empty group is in, and the student
+    # trains the remaining steps alone with the BLAS threads given back
+    cfg = DistillConfig(steps=40, batch=4, seq_len=16, seed=6, sft_warm_epochs=0)
+    n = len(D.token_windows(_corpus().train_docs, CHAR, cfg.seq_len)[0])
+    last = max(t for t, group in enumerate(_groups(_draws(n, cfg.steps, cfg.seed))) if group) + 1
+    assert last < cfg.steps - 1  # fit numbers steps from 1
+    get_threads, set_threads = blas_restored or (lambda: None, lambda n: None)
+    step_fn, seen = K._step, {}
+
+    def recording(*args):
+        seen[args[-1]] = (len(multiprocessing.active_children()), get_threads())
+        return step_fn(*args)
+
+    monkeypatch.setattr(K, "_step", recording)
+    before = get_threads()
+    set_threads(2)
+    try:
+        edges = {}
+        for cpus in (1, 3, 2):
+            _cpus(monkeypatch, cpus)
+            edges[cpus] = _edge_bytes(tmp_path, cfg)
+        assert get_threads() in (None, 2)
+    finally:
+        if before is not None:
+            set_threads(before)
+    assert edges[2] == edges[1] == edges[3]
+    if blas_restored is not None:
+        assert seen[1] == (1, 1)  # two CPUs: one producer, every process on one BLAS thread
+        assert {seen[step] for step in range(last, cfg.steps + 1)} == {(0, 2)}
