@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from .tensor import _choice_cdf
 from .tokenizers import Vocabulary, encode
 
 Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # tokens, targets, mask
@@ -38,22 +40,27 @@ class Corpus:
 
 def gen_markov(seed: int, n_docs: int, doc_len: int, order: int, alphabet: str) -> Corpus:
     """Order-k Markov text over `alphabet` with a seeded, peaked transition
-    table (Dirichlet(0.3) rows), so there is always learnable structure."""
+    table (Dirichlet(0.3) rows), so there is always learnable structure.
+    Each character is the one `rng.choice(len(alphabet), p=row)` would draw
+    from its context's row, without a call per character: each document
+    draws its uniforms in one call after its start state."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if len(alphabet) < 2:
         raise ValueError("alphabet needs at least two symbols")
     rng = np.random.default_rng(seed)
     a = len(alphabet)
-    contexts = list(itertools.product(range(a), repeat=order))
-    table = {ctx: rng.dirichlet(np.full(a, 0.3)) for ctx in contexts}
+    # one CDF per context, in itertools.product order: a context's index is its characters as base-a digits
+    cdfs = [_choice_cdf(rng.dirichlet(np.full(a, 0.3))).tolist() for _ in range(a**order)]
     docs = []
     for _ in range(n_docs):
-        state = tuple(rng.integers(0, a, size=order).tolist())
-        chars = list(state)
-        while len(chars) < doc_len:
-            nxt = int(rng.choice(a, p=table[tuple(chars[-order:])]))
-            chars.append(nxt)
+        chars = rng.integers(0, a, size=order).tolist()
+        context = 0
+        for c in chars:
+            context = context * a + c
+        for u in rng.random(max(0, doc_len - order)).tolist():
+            chars.append(bisect.bisect_right(cdfs[context], u))
+            context = (context * a + chars[-1]) % len(cdfs)
         docs.append("".join(alphabet[c] for c in chars[:doc_len]))
     return Corpus(documents=docs, seed=seed)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -24,7 +23,7 @@ from . import tensor as T
 from . import transformer as M
 # nothing here calls load_checkpoint: perfbench/test_tracer.py probes it by this name
 from .checkpoint import Checkpoint, Meta, load as load_checkpoint
-from .procs import _Forked, _fork_width, _run_forked
+from .procs import _Lease, _fork_width, _run_forked
 from .surgery import apply_transform, plan_subset
 from .tensor import GradTape, NonFiniteError, Tensor, no_grad
 from .tokenizers import Vocabulary, decode, encode, get_vocab
@@ -276,8 +275,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 # -- training loop ------------------------------------------------------------------
 
 
-def _score_group(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.float32, logp: np.ndarray,
-                 rows: np.ndarray) -> None:
+def _score_group(teacher: Checkpoint, tokens: np.ndarray, inv_temperature: np.float32, rows: np.ndarray,
+                 logp: np.ndarray) -> None:
     """Write the teacher log-probs at the temperature, log_softmax(logits / T),
     of the windows `rows` into those rows of `logp`, in one no-grad forward."""
     if len(rows) == 0:
@@ -295,23 +294,22 @@ class _TeacherStream:
 
     Group t is the rows that step t draws and no earlier step drew.  Each
     non-empty group is scored in one no-grad teacher forward into `logp`, a
-    shared anonymous mapping with a row per window; rows no step draws are
-    never scored.  Forked producers, one per spare CPU, score the i-th
-    non-empty group in producer i mod producers, and a step waits only for
-    its own group.  Once the last non-empty group is in, the producers end,
-    so the rest of training gets their CPUs and the BLAS threads back.  With
-    no spare CPU, or no OpenBLAS thread setter, the caller scores each group
-    itself just before its step.  Either way the groups, and so the bytes,
-    depend on the draws alone."""
+    row per window; rows no step draws are never scored.  Leased producers,
+    one per spare CPU, score the i-th non-empty group in producer i mod
+    producers, in place in the lease's shared mapping, and a step waits only
+    for its own group.  Once the last non-empty group is in, the producers
+    go back to the pool, so training gets their CPUs and BLAS threads back.
+    With no spare CPU, or no OpenBLAS thread setter, the caller scores each
+    group itself just before its step.  Either way the groups, and so the
+    bytes, depend on the draws alone."""
 
     def __init__(self, teacher: Checkpoint, columns: tuple[np.ndarray, ...], draws: list[np.ndarray],
                  temperature: float):
         tokens = columns[0]
         shape = (*tokens.shape, teacher.config.vocab_size)
-        self.logp = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 4), dtype=np.float32).reshape(shape)
         self._columns, self._draws = columns, draws
         drawn = np.zeros(len(tokens), dtype=bool)
-        score = functools.partial(_score_group, teacher, tokens, np.float32(1.0 / temperature), self.logp)
+        score = functools.partial(_score_group, teacher, tokens, np.float32(1.0 / temperature))
         self._scorers, self._group_at = [], {}  # the non-empty groups' scorers; step -> index among them
         for t, rows in enumerate(draws):
             group = rows[~drawn[rows]]  # a draw's rows are distinct: a slice of one permutation
@@ -320,26 +318,28 @@ class _TeacherStream:
                 self._group_at[t] = len(self._scorers)
                 self._scorers.append(functools.partial(score, group))
         self._producers = _fork_width(len(self._scorers))
-        self._forked = None
+        self._lease = None
         if self._producers:
-            self._forked = _Forked([self._scorers[j :: self._producers] for j in range(self._producers)])
+            self._lease = _Lease([self._scorers[j :: self._producers] for j in range(self._producers)],
+                                 (shape, np.float32))
+        self.logp = self._lease.shared if self._lease else np.zeros(shape, dtype=np.float32)
 
     def __iter__(self):
         for t, rows in enumerate(self._draws):
             i = self._group_at.get(t)
-            if i is not None and self._forked is None:
-                self._scorers[i]()
+            if i is not None and self._lease is None:
+                self._scorers[i](self.logp)
             elif i is not None:
-                self._forked.result(i % self._producers)
+                self._lease.result(i % self._producers)
                 if i == len(self._scorers) - 1:
                     self.close()  # every group is in
             yield (*(column[rows] for column in self._columns), self.logp[rows])
 
     def close(self) -> None:
-        """End the producers and restore the BLAS threads (see _Forked.close)."""
-        if self._forked is not None:
-            self._forked.close()
-            self._forked = None
+        """Give the producers back and restore the BLAS threads (see _Lease)."""
+        if self._lease is not None:
+            self._lease.close()
+            self._lease = None
 
 
 def ce_loss(logits: Tensor, batch: tuple) -> Tensor:

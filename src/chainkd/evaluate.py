@@ -194,7 +194,7 @@ def compare_init(
     train = D.token_windows(corpus.train_docs, vocab, cfg.seq_len)
     val = D.token_windows(corpus.val_docs, vocab, cfg.seq_len)
     arms = (("cbd", cbd), ("rand", rand))
-    # the caller trains the cbd arm while a forked worker, where a second
+    # the caller trains the cbd arm while a pool worker, where a second
     # CPU is allowed, trains the rand arm
     results = _run_forked([partial(_train_with_val_curve, ckpt, train, val, cfg, eval_every) for _, ckpt in arms])
     reports = []

@@ -1,24 +1,33 @@
-"""The CPU budget of a process, and the one way chainkd forks work across it.
+"""The CPU budget of a process, and its one pool of worker processes.
 
 Every stage that runs work in parallel asks `_fork_width` how many workers
-it may start.  The budget is the spare CPUs: the allowed CPUs (the affinity
+it may lease.  The budget is the spare CPUs: the allowed CPUs (the affinity
 set, capped by the cgroup CPU quota), minus the caller's own, minus the
-workers this process already has alive through `_Forked`.  Inside a forked
-worker it is 0, so a worker never forks, and neither does a caller whose
-workers already hold every spare CPU.
+workers this process has leased.  Inside a worker it is 0, so a worker never
+leases, and neither does a caller whose leases hold every spare CPU.  A
+worker is forked the first time a lease needs it and kept for every later
+lease, so a stage pays no fork, join or fresh copy-on-write faults.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import mmap
 import os
+import signal
+
+import numpy as np
 
 _CGROUP_ROOT = "/sys/fs/cgroup"
 
-# the budget is a property of the process, not of a caller: every stage in
-# it shares these two counts
-_alive = 0  # workers this process has started through _Forked and not yet joined
-_in_worker = False  # True in a forked worker, whose budget is 0
+# the budget and the pool are properties of the process, not of a caller:
+# every stage in it shares them
+_pool: list[tuple] = []  # every live worker: (process, the caller's end of its socket pair)
+_idle: list[tuple] = []  # the workers no lease holds
+_leased = 0  # workers held by open leases
+_blas_threads = None  # the caller's OpenBLAS thread count before the open leases
+_in_worker = False  # True in a pool worker, whose budget is 0
 
 
 def _cgroup_cpus() -> int | None:
@@ -50,9 +59,9 @@ def _allowed_cpus() -> int:
 
 
 def _spare_cpus() -> int:
-    """The allowed CPUs that neither this process nor its live workers hold;
-    0 inside a forked worker."""
-    return 0 if _in_worker else max(0, _allowed_cpus() - 1 - _alive)
+    """The allowed CPUs that neither this process nor its leased workers
+    hold; 0 inside a worker."""
+    return 0 if _in_worker else max(0, _allowed_cpus() - 1 - _leased)
 
 
 _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
@@ -84,7 +93,7 @@ def _openblas_threads():
 
 
 def _fork_width(n_tasks: int) -> int:
-    """How many forked workers may run beside the caller: one per spare CPU,
+    """How many pool workers may run beside the caller: one per spare CPU,
     at most n_tasks, and none where the OpenBLAS thread count cannot be set
     (another BLAS), since every process must hold one thread."""
     k = min(_spare_cpus(), n_tasks)
@@ -98,118 +107,150 @@ def _distill_error(message: str) -> Exception:
 
 
 class _RemoteTraceback(Exception):
-    """The traceback of an error raised in a forked worker, chained as its cause."""
+    """The traceback of an error raised in a worker, chained as its cause."""
 
     def __str__(self) -> str:
         return f'\n"""\n{self.args[0]}"""'
 
 
-def _serve(sender, tasks: list) -> None:
-    # the body of a forked worker: send (True, result) for each task in
-    # order, or (False, (error, traceback)) for the first that fails
+def _map(fd: int, shape: tuple, dtype) -> np.ndarray:
+    buffer = mmap.mmap(fd, math.prod(shape) * np.dtype(dtype).itemsize)
+    os.close(fd)  # the mapping holds its own
+    return np.frombuffer(buffer, dtype).reshape(shape)
+
+
+def _work(conn, inherited: list) -> None:
+    """A pool worker: for each list of tasks, send (True, result) per task in
+    order, or (False, (error, traceback)) for the first that fails and ends it."""
+    import traceback
+    from multiprocessing.reduction import recv_handle
+
     global _in_worker
     _in_worker = True
-    try:
+    for end in inherited:  # the caller's ends, so that EOF comes when the caller dies, even by SIGKILL
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C is the caller's to report
+    _openblas_threads()[1](1)
+    while True:
+        try:
+            shared, tasks = conn.recv()
+        except EOFError:
+            return
+        args = (_map(recv_handle(conn), *shared),) if shared else ()  # its memfd follows the tasks
         for task in tasks:
-            sender.send((True, task()))
-    except Exception as e:
-        import traceback
+            try:
+                message = True, task(*args)
+            except Exception as e:
+                message = False, (e, traceback.format_exc())
+            try:
+                conn.send(message)  # pickled whole before a byte is sent
+            except Exception as e:  # a result or an error that cannot be pickled
+                error, trace = (e, traceback.format_exc()) if message[0] else message[1]
+                message = False, (_distill_error(f"{type(error).__name__}: {error}"), trace)
+                conn.send(message)
+            if not message[0]:
+                break
+        tasks = task = args = message = None  # free the inputs, and unmap args, before the wait
 
-        trace = traceback.format_exc()
+
+def _fork() -> tuple:
+    import multiprocessing  # here: it adds about 2 MB to the peak RSS of a process that never forks
+
+    context = multiprocessing.get_context("fork")  # so a worker has the modules that tasks name
+    mine, theirs = context.Pipe()  # a socket pair, which can carry a memfd
+    process = context.Process(target=_work, args=(theirs, [end for _, end in _pool] + [mine]), daemon=True)
+    process.start()
+    theirs.close()  # the worker holds the only copy: EOF once it is gone
+    _pool.append((process, mine))
+    return _pool[-1]
+
+
+def _drop(worker: tuple) -> None:
+    process, conn = worker
+    process.kill()
+    process.join()
+    conn.close()
+    _pool.remove(worker)
+
+
+def shutdown() -> None:
+    """Kill and join every idle worker (for tests: daemonic, they end at exit)."""
+    while _idle:
+        _drop(_idle.pop())
+
+
+class _Lease:
+    """Pool workers, one per list of zero-argument tasks, each sent its list
+    in one pickle (which holds an object once however many tasks name it);
+    the pool forks only the workers it lacks.  With `shared`, a (shape,
+    dtype), `shared` is a zeroed memfd array, mapped once the workers exist
+    (so none inherits it) and sent with each list: every task is called with
+    it and writes in place.  OpenBLAS is held to one thread in the workers,
+    and in the caller while a lease is open, since k processes of threaded
+    BLAS on k CPUs busy-wait on each other.  `close` kills each worker that
+    owes a result (the stage ended early), so no later lease reads a stale reply."""
+
+    def __init__(self, task_lists: list[list], shared: tuple | None = None):
+        global _leased, _blas_threads
+        if _leased == 0:
+            _blas_threads = _openblas_threads()[0]()
+            _openblas_threads()[1](1)  # before any fork, so a new worker starts on one thread
+        self._workers, self._owed, fd = [], [], -1  # _owed: per worker, the results not yet read
         try:
-            sender.send((False, (e, trace)))
-        except Exception:  # an error that cannot be pickled
-            sender.send((False, (_distill_error(f"{type(e).__name__}: {e}"), trace)))
-
-
-class _Forked:
-    """Forked workers, one per list of zero-argument tasks.  Each calls its
-    tasks in order and sends each result back through its own pipe, or the
-    first error with its traceback, then exits.  A worker inherits its tasks
-    and all they reference (a shared mapping stays shared), so only results
-    are pickled.  Each worker counts against the process's spare CPUs until
-    it is joined.
-
-    OpenBLAS is held to one thread in every process from the fork until
-    `close`, so k processes use k CPUs: k processes of multi-threaded BLAS on
-    k CPUs busy-wait on each other and run slower than one process alone.
-    `close` (also the context exit) kills the workers whose results have not
-    all been read, joins every worker and restores the thread count."""
-
-    def __init__(self, task_lists: list[list]):
-        # imported here: multiprocessing adds about 2 MB to the peak RSS of
-        # a process that never forks
-        import multiprocessing
-
-        global _alive
-        get_blas_threads, self._set_blas_threads = _openblas_threads()
-        self._blas_threads = get_blas_threads()
-        # set before the fork, so the workers inherit the single thread
-        self._set_blas_threads(1)
-        self._workers: list[list] = []  # [process, receiving end, results not yet read]
-        try:
-            # fork, so the workers inherit the tasks' inputs instead of pickles
-            context = multiprocessing.get_context("fork")
+            for worker in _idle[:]:  # drop the dead (killed from outside) and those past the allowed CPUs
+                if not worker[0].is_alive() or len(_idle) > _allowed_cpus() - 1 - _leased:
+                    _idle.remove(worker)
+                    _drop(worker)
             for tasks in task_lists:
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(target=_serve, args=(sender, tasks), daemon=True)
-                try:
-                    process.start()
-                finally:
-                    sender.close()  # the worker holds the only sending end: EOF once it is gone
-                self._workers.append([process, receiver, len(tasks)])
-                _alive += 1
+                self._workers.append(_idle.pop() if _idle else _fork())
+                self._owed.append(len(tasks))  # before the send: one cut short leaves a worker unusable
+                _leased += 1
+            if shared is not None:
+                from multiprocessing.reduction import send_handle
+
+                fd = os.memfd_create("chainkd-shared")
+                os.ftruncate(fd, math.prod(shared[0]) * np.dtype(shared[1]).itemsize)
+                self.shared = _map(os.dup(fd), *shared)
+            for (process, conn), tasks in zip(self._workers, task_lists):
+                conn.send((shared, tasks))
+                if shared is not None:
+                    send_handle(conn, fd, process.pid)
         except BaseException:
             self.close()
             raise
+        finally:
+            if fd >= 0:
+                os.close(fd)
 
     def result(self, j: int):
         """The next result of worker j, in its task order.  Raises that
-        task's error, or DistillError if the worker ended without sending
-        it: the wait also watches the worker's sentinel, so a worker that
-        dies cannot leave the caller waiting."""
+        task's error, or DistillError if the worker died first: the wait
+        watches its sentinel too, so the caller cannot hang on it."""
         from multiprocessing.connection import wait
 
-        worker = self._workers[j]
-        process, receiver, _ = worker
-        wait([receiver, process.sentinel])
+        process, conn = self._workers[j]
+        wait([conn, process.sentinel])
         try:
-            # what a worker sent before it ended is still in the pipe
-            message = receiver.recv() if receiver.poll() else None
+            ok, value = conn.recv()  # what a worker sent before it ended is still in the socket
         except (EOFError, OSError):
-            message = None
-        if message is None:
             process.join()
-            raise _distill_error(f"forked worker {process.pid} ended with exit code {process.exitcode}"
-                                 " before sending its result")
-        worker[2] -= 1
-        ok, value = message
+            raise _distill_error(f"pool worker {process.pid} ended with exit code {process.exitcode}"
+                                 " before sending its result") from None
+        self._owed[j] = self._owed[j] - 1 if ok else 0  # a worker stops at its first error
         if not ok:
-            error, trace = value
-            raise error from _RemoteTraceback(trace)
+            raise value[0] from _RemoteTraceback(value[1])
         return value
 
     def close(self) -> None:
-        global _alive
-        workers, self._workers = self._workers, []
+        global _leased
+        workers, owed, self._workers, self._owed = self._workers, self._owed, [], []
         try:
-            for process, _, pending in workers:
-                if pending:
-                    process.kill()
-            for process, receiver, _ in workers:
-                process.join()
-                receiver.close()
-                _alive -= 1
+            for worker, n in zip(workers, owed):
+                _drop(worker) if n else _idle.append(worker)
         finally:
-            if self._blas_threads is not None:
-                self._set_blas_threads(self._blas_threads)
-                self._blas_threads = None
-
-    def __enter__(self) -> "_Forked":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            _leased -= len(workers)
+            if _leased == 0:
+                _openblas_threads()[1](_blas_threads)
 
 
 def _shares(tasks: list, k: int) -> list[list]:
@@ -224,19 +265,22 @@ def _run_forked(tasks: list) -> list:
     """Call each zero-argument task and return the results in task order.
 
     The tasks are cut into balanced contiguous shares, one per spare CPU
-    plus the caller's own.  The caller runs the first share while forked
-    workers run the others.  A failure raises what a serial pass would raise
-    first, and every worker is joined before this returns or raises.  With
-    no spare CPU (one allowed CPU, inside a worker, or beside workers that
-    hold the others), or where the OpenBLAS thread count cannot be set, the
-    caller runs every task itself and starts no process."""
+    plus the caller's own.  The caller runs the first share while leased
+    workers run the others, so tasks must pickle (module-level functions or
+    partials of them).  A failure raises what a serial pass would raise
+    first.  With no spare CPU (one allowed CPU, inside a worker, or beside
+    leases that hold the others), or no OpenBLAS thread setter, the caller
+    runs every task itself."""
     n = _fork_width(len(tasks) - 1)
     if n == 0:
         return [task() for task in tasks]
     first, *rest = _shares(tasks, n + 1)
-    with _Forked(rest) as forked:
+    lease = _Lease(rest)
+    try:
         results = [task() for task in first]
         # in task order, so a failure raises what a serial pass would
         for j, share in enumerate(rest):
-            results.extend(forked.result(j) for _ in share)
+            results.extend(lease.result(j) for _ in share)
+    finally:
+        lease.close()
     return results

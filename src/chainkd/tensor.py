@@ -71,6 +71,11 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), dtype=dtype, requires_grad=self.requires_grad)
 
+    def __reduce__(self):
+        # the same on every Python version, and rebuilt by _wrap, so a payload
+        # sent to or from a pool worker stays read-only; a gradient is not sent
+        return _wrap, (self.data, self.requires_grad)
+
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -478,6 +483,20 @@ def _log_softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Gradient through log-softmax of the probabilities p, in place in g."""
     g -= p * g.sum(axis=-1, keepdims=True)
     return g
+
+
+_P_ATOL = math.sqrt(np.finfo(F64).eps)  # how far Generator.choice lets p sum from 1
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF of each row of p (its last axis) that `Generator.choice(n,
+    p=row)` builds after checking the row, finite, non-negative and summing
+    to 1; choice draws the index searchsorted(cdf, rng.random(), "right")."""
+    if not (np.isfinite(p).all() and (p >= 0).all() and (np.abs(p.sum(axis=-1) - 1.0) <= _P_ATOL).all()):
+        raise TensorError("probabilities are not finite, non-negative and summing to 1")
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def _nll_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -229,5 +229,8 @@ def sample(
             z -= z.max(axis=-1, keepdims=True)
             probs = np.exp(z)
             probs /= probs.sum(axis=-1, keepdims=True)
-            out[:, t] = [rng.choice(config.vocab_size, p=row) for rng, row in zip(rngs, probs)]
+            # what rng.choice(V, p=row) draws, for every row at once
+            u = np.array([rng.random() for rng in rngs])
+            out[:, t] = (T._choice_cdf(probs) <= u[:, None]).sum(axis=1)
     return out
+

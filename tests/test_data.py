@@ -29,6 +29,19 @@ class TestGenerators:
         frac = text.count("a") / len(text)
         assert abs(frac - 0.5) > 0.02
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 93, 1234])
+    @pytest.mark.parametrize("n_docs,doc_len,order,alphabet", [
+        (12, 90, 2, "abcdefgh"),  # the shape of the pipeline's corpora
+        (8, 60, 1, "abcdefghijklmnopqrstuvwxyz"),
+        (6, 50, 3, "abcd"),
+        (10, 70, 1, "ab"),
+        (4, 2, 3, "abc"),  # doc_len < order: the start state, cut
+        (4, 3, 3, "xyz"),  # doc_len == order: no character drawn
+    ])
+    def test_markov_matches_the_per_character_reference(self, seed, n_docs, doc_len, order, alphabet):
+        expected = markov_per_character(seed, n_docs, doc_len, order, alphabet)
+        assert D.gen_markov(seed, n_docs, doc_len, order, alphabet).documents == expected
+
     def test_markov_order_validated(self):
         with pytest.raises(ValueError):
             D.gen_markov(0, 1, 10, 0, "ab")
@@ -48,6 +61,22 @@ class TestGenerators:
         c = D.gen_arithmetic(2, 30, 50)
         allowed = set("0123456789+=\n")
         assert all(set(doc) <= allowed for doc in c.documents)
+
+
+def markov_per_character(seed, n_docs, doc_len, order, alphabet):
+    """gen_markov's documents as its first version made them, with one
+    rng.choice call per character: the frozen reference for their bytes."""
+    rng = np.random.default_rng(seed)
+    a = len(alphabet)
+    contexts = list(itertools.product(range(a), repeat=order))
+    table = {ctx: rng.dirichlet(np.full(a, 0.3)) for ctx in contexts}
+    docs = []
+    for _ in range(n_docs):
+        chars = list(tuple(rng.integers(0, a, size=order).tolist()))
+        while len(chars) < doc_len:
+            chars.append(int(rng.choice(a, p=table[tuple(chars[-order:])])))
+        docs.append("".join(alphabet[c] for c in chars[:doc_len]))
+    return docs
 
 
 def one_epoch(docs, batch, seq_len, seed, epoch=0):

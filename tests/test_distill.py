@@ -470,8 +470,8 @@ class TestOneFitPerStage:
         assert [step for step, _ in cbd.curves["cbd"]] == [0, 2, 4, 5]
         assert [step for step, _ in rand.curves["rand-train"]] == [1, 2, 3, 4, 5]
 
-    def test_compare_init_parallel_arms(self, fit_calls, monkeypatch):
-        # two CPUs: the rand arm's call runs in a forked worker, out of this
+    def test_compare_init_parallel_arms(self, fit_calls, monkeypatch, blas_restored):
+        # two CPUs: the rand arm's call runs in a pool worker, out of this
         # list's sight, unless no OpenBLAS thread setter sends both arms here
         cpus(monkeypatch, 1)
         serial = self.compare()

@@ -1,18 +1,24 @@
 """The teacher stream gives the same bytes on any number of CPUs.
 
 `_TeacherStream` scores, for each KD step, the windows that step draws and
-no earlier step drew (its group) in one teacher forward.  Forked producers,
-one per further allowed CPU, score the groups while the caller trains; with
-one allowed CPU the caller scores each group just before the step that needs
-it.  These tests fake the affinity set to cover the serial path, one and two
-producers, and more CPUs than there are groups, and check that no process is
-left running and the OpenBLAS thread count is restored on every path.
+no earlier step drew (its group) in one teacher forward.  Producers, pool
+workers leased one per further allowed CPU, score the groups into a shared
+memfd mapping while the caller trains; with one allowed CPU the caller
+scores each group just before the step that needs it.  These tests fake the
+affinity set to cover the serial path, one and two producers, and more CPUs
+than there are groups, and check that no worker is left leased, no process
+is left running once the pool is shut down, and the OpenBLAS thread count
+is restored on every path.  A function patched in for a producer to run is
+pickled by name, so it is defined at module level.
 """
 
 import mmap
-import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import time
 from contextlib import closing
 from itertools import islice
 
@@ -74,17 +80,18 @@ def _cpus(monkeypatch, n):
 
 
 def _no_fork(monkeypatch):
-    def no_fork():
-        raise AssertionError("a process was started on the serial path")
+    def no_lease(*args):
+        raise AssertionError("a worker was leased on the serial path")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", no_lease)
+    monkeypatch.setattr(K, "_Lease", no_lease)
 
 
 def _stream(teacher, tokens, draws):
     """Every batch of a stream over the tokens column, and its mapping."""
     with closing(K._TeacherStream(teacher, (tokens,), draws, CFG.temperature)) as stream:
         batches = list(stream)
-    assert multiprocessing.active_children() == []
+    assert P._leased == 0
     return batches, stream.logp
 
 
@@ -102,6 +109,34 @@ def test_cache_bytes_do_not_depend_on_cpu_count(monkeypatch, blas_restored, cpus
         assert batch_tokens.tobytes() == tokens[rows].tobytes()
         assert batch_logp.tobytes() == expected[rows].tobytes()
     assert tokens.tobytes() == before
+
+
+def _shared_mappings(pids, expected):
+    # the count of each worker's memfd mappings, once it reads `expected`
+    # or after 5 s: a worker maps a list and unmaps it just after its replies
+    deadline = time.monotonic() + 5.0
+    while True:
+        counts = []
+        for pid in pids:
+            with open(f"/proc/{pid}/maps") as maps:
+                counts.append(sum("chainkd-shared" in line for line in maps))
+        if counts == expected or time.monotonic() > deadline:
+            return counts
+        time.sleep(0.01)
+
+
+def test_producers_unmap_the_stream_once_it_is_done(monkeypatch, blas_restored):
+    # a producer keeps no edge's mapping (nor its teacher) once it is back in the pool
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    _cpus(monkeypatch, 3)
+    teacher, tokens, draws = _teacher(), _tokens(), _draws()
+    _stream(teacher, tokens, draws)
+    pids = [process.pid for process, _ in P._pool]
+    assert len(pids) == 2 and _shared_mappings(pids, [0, 0]) == [0, 0]
+    _stream(teacher, tokens, draws)  # a second edge on the same workers
+    assert sorted(process.pid for process, _ in P._pool) == sorted(pids)
+    assert _shared_mappings(pids, [0, 0]) == [0, 0]
 
 
 def test_fewer_steps_than_producers(monkeypatch, blas_restored):
@@ -149,6 +184,14 @@ def test_overflowing_teacher_raises_the_same_error(monkeypatch, blas_restored, c
     assert (info.value.__cause__ is not None) == (cpus > 1)
 
 
+_SCORE = K._score_group
+
+
+def _score_in_a_worker_on_one_thread(*args):
+    assert P._in_worker and P._openblas_threads()[0]() == 1
+    _SCORE(*args)
+
+
 def test_every_process_scores_with_one_blas_thread(monkeypatch, blas_restored):
     # k processes of multi-threaded BLAS on k CPUs busy-wait on each other;
     # the producers hold OpenBLAS to one thread and give the count back once
@@ -161,13 +204,7 @@ def test_every_process_scores_with_one_blas_thread(monkeypatch, blas_restored):
         _stream(teacher, tokens, draws)
         return
     get_threads, set_threads = blas_restored
-    score, parent = K._score_group, os.getpid()
-
-    def one_thread(*args):
-        assert os.getpid() != parent and get_threads() == 1
-        score(*args)
-
-    monkeypatch.setattr(K, "_score_group", one_thread)
+    monkeypatch.setattr(K, "_score_group", _score_in_a_worker_on_one_thread)
     before = get_threads()
     set_threads(2)
     try:
@@ -176,8 +213,8 @@ def test_every_process_scores_with_one_blas_thread(monkeypatch, blas_restored):
             next(batches)
             assert get_threads() == 1  # the student trains beside the producers on one thread
             rest = list(batches)
-            assert get_threads() == 2  # every group is in: the producers are gone
-        assert len(rest) == len(draws) - 1 and multiprocessing.active_children() == []
+            assert get_threads() == 2  # every group is in: the producers are given back
+        assert len(rest) == len(draws) - 1 and P._leased == 0
     finally:
         set_threads(before)
     assert stream.logp.tobytes() == _reference(teacher, tokens, draws).tobytes()
@@ -212,30 +249,36 @@ def test_edge_bytes_do_not_depend_on_cpu_count(monkeypatch, tmp_path, blas_resto
         got = _edge_bytes(tmp_path, EDGE_RUNS[run])
         expected = expected or got
         assert got == expected, cpus
-        assert multiprocessing.active_children() == []
+        assert P._leased == 0
+
+
+_SCORED = None  # a count per row, then one for empty groups: set before the producers fork
+
+
+def _counted_score(teacher, tokens, inv_temperature, rows, logp):
+    _SCORED[rows if len(rows) else -1] += 1  # groups are disjoint, so two producers never add to one row
+    _SCORE(teacher, tokens, inv_temperature, rows, logp)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_only_drawn_windows_are_scored(monkeypatch, tmp_path, blas_restored, cpus):
     # the KD steps draw 48 of the corpus's windows (three epochs of 4 draws of
     # 4, each epoch leaving some out); each is scored once, the rest never.
-    # The count is kept in a shared mapping, so forked producers add to it.
+    # The count is kept in a shared mapping made before the pool (empty at
+    # the start of the test) forks the producers, so they add to it.
     cfg = DistillConfig(steps=12, batch=4, seq_len=16, seed=4, sft_warm_epochs=1)
     n = len(D.token_windows(_corpus().train_docs, CHAR, cfg.seq_len)[0])
-    scored = np.frombuffer(mmap.mmap(-1, n * 8 + 8), dtype=np.int64)  # a count per row, then empty groups
-    score, forward = K._score_group, M.forward
+    scored = np.frombuffer(mmap.mmap(-1, n * 8 + 8), dtype=np.int64)
+    monkeypatch.setattr(sys.modules[__name__], "_SCORED", scored)
+    forward = M.forward
     teacher_rows = []
-
-    def counted_score(teacher, tokens, inv_temperature, logp, rows):
-        scored[rows if len(rows) else n] += 1  # groups are disjoint, so two producers never add to one row
-        score(teacher, tokens, inv_temperature, logp, rows)
 
     def counted_forward(config, params, tokens, *args):
         if config == TEACHER:
             teacher_rows.append(len(tokens))
         return forward(config, params, tokens, *args)
 
-    monkeypatch.setattr(K, "_score_group", counted_score)
+    monkeypatch.setattr(K, "_score_group", _counted_score)
     monkeypatch.setattr(M, "forward", counted_forward)
     _cpus(monkeypatch, cpus)
     _edge_bytes(tmp_path, cfg)
@@ -267,36 +310,41 @@ def test_student_divergence_ends_the_producers(monkeypatch, tmp_path, blas_resto
         _edge_bytes(tmp_path, cfg)
 
 
+def _die_in_a_worker(*args):
+    if P._in_worker:
+        os._exit(7)
+    _SCORE(*args)
+
+
 def test_a_dead_producer_raises_instead_of_hanging(monkeypatch, tmp_path, blas_restored):
     if blas_restored is None:
         pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
-    parent = os.getpid()
-    score = K._score_group
-
-    def die(*args):
-        if os.getpid() != parent:
-            os._exit(7)
-        score(*args)
 
     def hung(signum, frame):
         raise AssertionError("the caller waited on a dead producer")
 
-    monkeypatch.setattr(K, "_score_group", die)
     _cpus(monkeypatch, 2)
+    expected = _edge_bytes(tmp_path, EDGE_RUNS["reverse_kl_sft"])
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(DistillError, match="exit code 7"):
-            _edge_bytes(tmp_path, EDGE_RUNS["reverse_kl_sft"])
+        with monkeypatch.context() as dying:
+            dying.setattr(K, "_score_group", _die_in_a_worker)
+            with pytest.raises(DistillError, match="exit code 7"):
+                _edge_bytes(tmp_path, EDGE_RUNS["reverse_kl_sft"])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    # the dead producer is dropped; the next edge gets a replacement
+    assert P._pool == [] and P._leased == 0
+    assert _edge_bytes(tmp_path, EDGE_RUNS["reverse_kl_sft"]) == expected
 
 
-def test_producers_end_after_the_last_group(monkeypatch, tmp_path, blas_restored):
+def test_producers_are_given_back_after_the_last_group(monkeypatch, tmp_path, blas_restored):
     # 40 KD steps draw every window they ever draw well before the last step:
-    # the producers end once the last non-empty group is in, and the student
-    # trains the remaining steps alone with the BLAS threads given back
+    # the producers are given back to the pool once the last non-empty group
+    # is in, and the student trains the remaining steps with no worker leased
+    # and the BLAS threads given back
     cfg = DistillConfig(steps=40, batch=4, seq_len=16, seed=6, sft_warm_epochs=0)
     n = len(D.token_windows(_corpus().train_docs, CHAR, cfg.seq_len)[0])
     last = max(t for t, group in enumerate(_groups(_draws(n, cfg.steps, cfg.seed))) if group) + 1
@@ -305,7 +353,7 @@ def test_producers_end_after_the_last_group(monkeypatch, tmp_path, blas_restored
     step_fn, seen = K._step, {}
 
     def recording(*args):
-        seen[args[-1]] = (len(multiprocessing.active_children()), get_threads())
+        seen[args[-1]] = (P._leased, get_threads())
         return step_fn(*args)
 
     monkeypatch.setattr(K, "_step", recording)
@@ -324,3 +372,57 @@ def test_producers_end_after_the_last_group(monkeypatch, tmp_path, blas_restored
     if blas_restored is not None:
         assert seen[1] == (1, 1)  # two CPUs: one producer, every process on one BLAS thread
         assert {seen[step] for step in range(last, cfg.steps + 1)} == {(0, 2)}
+
+
+INTERRUPTED_EDGE = textwrap.dedent("""
+    import os, time
+    from chainkd import data as D, distill as K, procs, tokenizers as tok, transformer as M
+    from chainkd.checkpoint import Checkpoint, Meta
+
+    os.sched_getaffinity = lambda pid: {0, 1}
+    procs._CGROUP_ROOT = "/nonexistent"
+    score = K._score_group
+
+    def slow_score(*args):
+        print("scoring", flush=True)
+        time.sleep(0.5)
+        score(*args)
+
+    K._score_group = slow_score
+    teacher_cfg = M.ModelConfig(2, 2, 4, 8, 32, 100, 32)
+    teacher = Checkpoint(teacher_cfg, M.init_random(teacher_cfg, 0), Meta(name="teacher", seed=0))
+    corpus = D.gen_markov(11, n_docs=16, doc_len=40, order=1, alphabet="abcdefgh")
+    K.distill_edge(teacher, M.ModelConfig(1, 2, 4, 8, 16, 100, 32), corpus, tok.char_vocab(),
+                   K.DistillConfig(steps=12, batch=4, seq_len=16, sft_warm_epochs=0))
+""")
+
+
+def test_sigint_while_producers_score_gives_one_traceback(blas_restored):
+    # a Ctrl-C reaches the whole process group: the producer, which ignores
+    # it, is still scoring; the caller raises KeyboardInterrupt, kills the
+    # producer that still owes groups, and is the only one to print
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    caller = subprocess.Popen([sys.executable, "-c", INTERRUPTED_EDGE], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env, text=True, start_new_session=True)
+    try:
+        assert caller.stdout.readline() == "scoring\n"
+        os.killpg(caller.pid, signal.SIGINT)
+        _, stderr = caller.communicate(timeout=60)
+    finally:
+        if caller.poll() is None:
+            os.killpg(caller.pid, signal.SIGKILL)
+            caller.wait()
+    assert caller.returncode != 0
+    assert stderr.count("Traceback (most recent call last)") == 1, stderr
+    assert stderr.rstrip().endswith("KeyboardInterrupt"), stderr
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(caller.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    else:
+        raise AssertionError("a process of the interrupted edge outlived it")

@@ -1,19 +1,28 @@
-"""`procs._run_forked`, the one fork helper, and the stages that split work with it:
-compare-init's two arms, the evaluator's batches and the alpha sweep's alphas.
+"""`procs._run_forked`, the one helper that splits work across the worker pool,
+and the stages that use it: compare-init's two arms, the evaluator's batches
+and the alpha sweep's alphas.
 
 The helper cuts its tasks into balanced contiguous shares, one per spare
 CPU plus the caller's, and runs the first share in the caller and the others
-in forked workers.  These tests fake the allowed CPUs (the affinity set, and
-the cgroup quota through `_CGROUP_ROOT`) to cover the serial path and
-several workers, and check that results, errors and report bytes are those
-of a serial pass, with no process left running.
+in leased pool workers, which are forked once and reused.  These tests fake
+the allowed CPUs (the affinity set, and the cgroup quota through
+`_CGROUP_ROOT`) to cover the serial path and several workers, and check that
+results, errors and report bytes are those of a serial pass, that workers
+are reused, that no region reads another's reply, and that no worker is
+left leased or, once the pool is shut down, running.  Tasks sent to a
+worker are pickled, so they are module-level functions or partials of them.
 """
 
 import multiprocessing
 import os
+import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 from contextlib import closing
+from functools import partial
 from itertools import groupby, islice
 
 import numpy as np
@@ -40,10 +49,16 @@ def _cpus(monkeypatch, n, cgroup_root="/nonexistent"):
 
 
 def _no_pool(monkeypatch):
-    def no_fork():
-        raise AssertionError("a process was started on the serial path")
+    def no_lease(*args):
+        raise AssertionError("a worker was leased on the serial path")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", no_lease)
+    monkeypatch.setattr(P, "_Lease", no_lease)
+    monkeypatch.setattr(K, "_Lease", no_lease)
+
+
+def _pool_pids():
+    return sorted(process.pid for process, _ in P._pool)
 
 
 def _ckpt(seed, name, blowup=False):
@@ -74,11 +89,21 @@ def _compare(run=RUN, rand_blowup=False):
 
 
 def _fail(message, delay=0.0):
-    def task():
-        time.sleep(delay)
-        raise ValueError(message)
+    time.sleep(delay)
+    raise ValueError(message)
 
-    return task
+
+def _value(value, delay=0.0):
+    time.sleep(delay)
+    return value
+
+
+def _index_and_pid(i):
+    return i, os.getpid()
+
+
+def _blas_threads():
+    return P._openblas_threads()[0]()
 
 
 BLOWUP = DistillConfig(steps=4, batch=2, seq_len=16, lr=1e30, grad_clip=None, sft_warm_epochs=0)
@@ -88,7 +113,7 @@ def _divergence(monkeypatch, cpus, run, **blowups):
     _cpus(monkeypatch, cpus)
     with pytest.raises(DivergenceError) as info:
         _compare(run, **blowups)
-    assert multiprocessing.active_children() == []
+    assert P._leased == 0
     return info.value
 
 
@@ -96,19 +121,33 @@ def _divergence(monkeypatch, cpus, run, **blowups):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_results_in_task_order(monkeypatch, cpus):
+def test_results_in_task_order(monkeypatch, blas_restored, cpus):
     # 5 tasks on k processes: k balanced contiguous shares, the larger first;
     # the caller runs the first and one worker runs each other share
     _cpus(monkeypatch, cpus)
     parent = os.getpid()
-    results = P._run_forked([lambda i=i: (i, os.getpid()) for i in range(5)])
+    results = P._run_forked([partial(_index_and_pid, i) for i in range(5)])
     assert [i for i, _ in results] == [0, 1, 2, 3, 4]
     runs = [(pid, len(list(share))) for pid, share in groupby(pid for _, pid in results)]
     processes = cpus if P._openblas_threads() is not None else 1
     assert [n for _, n in runs] == {1: [5], 2: [3, 2], 3: [2, 2, 1]}[processes]
     assert runs[0][0] == parent
     assert len({pid for pid, _ in runs}) == processes
-    assert multiprocessing.active_children() == []
+    assert sorted(pid for pid, _ in runs[1:]) == _pool_pids()
+    assert P._leased == 0
+
+
+def test_a_checkpoint_pickles_with_read_only_payloads():
+    # what a task sends to a worker: every Tensor comes back with its bytes,
+    # its requires_grad and a payload that cannot be written
+    ckpt = _ckpt(3, "cbd")
+    ckpt.params["L0.ffn.w1"] = Tensor(ckpt.params["L0.ffn.w1"].data, requires_grad=True)
+    back = pickle.loads(pickle.dumps(ckpt))
+    assert (back.config, back.meta) == (ckpt.config, ckpt.meta)
+    for name, p in ckpt.params.items():
+        q = back.params[name]
+        assert (q.data.dtype, q.data.shape, q.data.tobytes()) == (p.data.dtype, p.data.shape, p.data.tobytes())
+        assert q.requires_grad == p.requires_grad and q.grad is None and not q.data.flags.writeable
 
 
 def test_one_cpu_runs_serially_without_a_pool(monkeypatch):
@@ -125,44 +164,195 @@ def test_no_blas_setter_runs_serially_without_a_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_raises_the_first_error_in_task_order(monkeypatch, cpus):
+def test_raises_the_first_error_in_task_order(monkeypatch, blas_restored, cpus):
     _cpus(monkeypatch, cpus)
     # task 2 fails first in time; a serial pass raises task 1's error
     with pytest.raises(ValueError, match="task 1"):
-        P._run_forked([lambda: 0, _fail("task 1", delay=0.3), _fail("task 2")])
-    assert multiprocessing.active_children() == []
+        P._run_forked([partial(_value, 0), partial(_fail, "task 1", 0.3), partial(_fail, "task 2")])
+    assert P._leased == 0
     # the caller's own failure comes first of all
     with pytest.raises(ValueError, match="task 0"):
-        P._run_forked([_fail("task 0", delay=0.3), _fail("task 1"), _fail("task 2")])
-    assert multiprocessing.active_children() == []
+        P._run_forked([partial(_fail, "task 0", 0.3), partial(_fail, "task 1"), partial(_fail, "task 2")])
+    assert P._leased == 0
 
 
-def test_a_dead_worker_raises_and_the_rest_are_joined(monkeypatch):
-    _cpus(monkeypatch, 3)
-    if P._openblas_threads() is None:
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not this one")
+
+
+def _unpicklable_error():
+    raise _Unpicklable("held a lock")
+
+
+def _unpicklable_result():
+    return _Unpicklable("a result")
+
+
+@pytest.mark.parametrize("task,error", [
+    (_unpicklable_error, "_Unpicklable: held a lock"),  # sent back as a DistillError naming it
+    (_unpicklable_result, "TypeError: not this one"),
+])
+def test_what_a_worker_cannot_pickle_raises_distill_error(monkeypatch, blas_restored, task, error):
+    _cpus(monkeypatch, 2)
+    if blas_restored is None:
         pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
-    # task 1's worker dies; task 2's worker is still sleeping when it does
+    with pytest.raises(K.DistillError, match=error):
+        P._run_forked([partial(_value, 0), partial(_value, 0), task, partial(_value, 1)])
+    pids = _pool_pids()  # the worker stopped at the error, stays in the pool and serves the next call
+    assert P._run_forked([partial(_value, 0), partial(_index_and_pid, 1)])[1][1] in pids
+
+
+def test_a_task_that_cannot_be_pickled_raises_in_the_caller(monkeypatch, blas_restored):
+    _cpus(monkeypatch, 2)
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        P._run_forked([partial(_value, 0), lambda: 1])
+    assert P._leased == 0
+    assert P._run_forked([partial(_value, 0), partial(_value, 1)]) == [0, 1]
+
+
+def test_a_dead_worker_raises_and_the_next_call_gets_a_replacement(monkeypatch, blas_restored):
+    _cpus(monkeypatch, 3)
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    # task 1's worker dies; task 2's worker is still sleeping when it does,
+    # so it still owes its result and is killed and dropped as well
     with pytest.raises(K.DistillError, match="exit code 5"):
-        P._run_forked([lambda: 0, lambda: os._exit(5), lambda: time.sleep(30)])
-    assert multiprocessing.active_children() == []
+        P._run_forked([partial(_value, 0), partial(os._exit, 5), partial(time.sleep, 30)])
+    assert P._pool == [] and multiprocessing.active_children() == []
+    results = P._run_forked([partial(_index_and_pid, i) for i in range(3)])
+    assert [i for i, _ in results] == [0, 1, 2]
+    assert sorted(pid for _, pid in results[1:]) == _pool_pids()
 
 
-def test_blas_held_to_one_thread_and_restored(monkeypatch):
-    blas = P._openblas_threads()
-    if blas is None:
+def test_blas_held_to_one_thread_and_restored(monkeypatch, blas_restored):
+    if blas_restored is None:
         pytest.skip("no OpenBLAS whose thread count can be set")
-    get_threads, set_threads = blas
+    get_threads, set_threads = blas_restored
     _cpus(monkeypatch, 3)
     before = get_threads()
     set_threads(2)
     try:
-        assert P._run_forked([get_threads] * 3) == [1, 1, 1]
+        assert P._run_forked([_blas_threads] * 3) == [1, 1, 1]
         assert get_threads() == 2
         with pytest.raises(ValueError):
-            P._run_forked([get_threads, _fail("task 1")])
+            P._run_forked([_blas_threads, partial(_fail, "task 1")])
         assert get_threads() == 2
+        # the idle workers keep one thread
+        assert P._run_forked([_blas_threads] * 3) == [1, 1, 1]
     finally:
         set_threads(before)
+
+
+def test_a_caller_error_leaves_no_stale_reply(monkeypatch, blas_restored):
+    # the worker's reply is sent and unread when the caller's own task fails;
+    # the next region must not read it in place of its own first result
+    _cpus(monkeypatch, 1)
+    expected = _eval()
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="caller"):
+        P._run_forked([partial(_fail, "caller", 0.3), partial(_value, (0.0, 1.0))])
+    assert P._leased == 0
+    assert _eval() == expected
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+def test_an_interrupted_region_leaves_no_stale_reply(monkeypatch, blas_restored):
+    # the region ends by KeyboardInterrupt while its worker still runs
+    _cpus(monkeypatch, 1)
+    expected = _eval()
+    _cpus(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        P._run_forked([_interrupt, partial(_value, (0.0, 1.0), 0.2)])
+    assert P._leased == 0 and P._pool == []
+    assert _eval() == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_workers_are_reused(monkeypatch, tmp_path, blas_restored, cpus):
+    # two evals and an alpha sweep: the first forks the workers, the others
+    # reuse them; every result equals the serial pass
+    with monkeypatch.context() as serial:
+        _cpus(serial, 1)
+        _no_pool(serial)
+        expected = _evaluations(tmp_path)
+    _cpus(monkeypatch, cpus)
+    assert _eval() == expected[0]
+    pids = _pool_pids()
+    assert len(pids) == (cpus - 1 if blas_restored is not None else 0)
+
+    def no_fork():
+        raise AssertionError("the pool forked a worker it already had")
+
+    monkeypatch.setattr(P, "_fork", no_fork)
+    assert _eval() == expected[0]
+    assert _evaluations(tmp_path) == expected
+    served = P._run_forked([partial(_index_and_pid, i) for i in range(cpus)])
+    assert sorted(pid for _, pid in served[1:]) == pids == _pool_pids()
+
+
+def test_the_pool_never_holds_more_than_the_spare_cpus(monkeypatch, blas_restored):
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    _cpus(monkeypatch, 3)
+    P._run_forked([partial(_value, i) for i in range(3)])
+    assert len(P._pool) == 2
+    _cpus(monkeypatch, 2)
+    assert P._run_forked([partial(_value, i) for i in range(3)]) == [0, 1, 2]
+    assert len(P._pool) == 1
+
+
+def test_shutdown_joins_every_worker(monkeypatch, blas_restored):
+    _cpus(monkeypatch, 3)
+    P._run_forked([partial(_value, i) for i in range(3)])
+    P.shutdown()
+    assert P._pool == [] and multiprocessing.active_children() == []
+
+
+def _running(pid):
+    # a zombie has ended; only its parent, which is gone, could reap it
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+KILLED_CALLER = textwrap.dedent("""
+    import os, sys, time
+    from functools import partial
+    from chainkd import procs
+    os.sched_getaffinity = lambda pid: set(range(3))
+    procs._CGROUP_ROOT = "/nonexistent"
+    procs._run_forked([partial(time.sleep, 0)] * 3)
+    print(*(process.pid for process, _ in procs._pool), flush=True)
+    procs._run_forked([partial(time.sleep, 1)] * 3)  # SIGKILLed in here, the workers mid-task
+""")
+
+
+def test_a_killed_caller_leaves_no_worker(blas_restored):
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    caller = subprocess.Popen([sys.executable, "-c", KILLED_CALLER], stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        pids = [int(pid) for pid in caller.stdout.readline().split()]
+        assert len(pids) == 2
+        caller.kill()
+        caller.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
 
 
 # -- the cgroup CPU quota --------------------------------------------------------------
@@ -202,14 +392,14 @@ def test_quota_of_one_cpu_runs_serially(monkeypatch, tmp_path):
 # -- compare-init's two arms -----------------------------------------------------------
 
 
-def test_reports_do_not_depend_on_cpu_count(monkeypatch, tmp_path):
+def test_reports_do_not_depend_on_cpu_count(monkeypatch, tmp_path, blas_restored):
     expected = None
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
         got = _report_bytes(_compare(), tmp_path)
         expected = expected or got
         assert got == expected, cpus
-        assert multiprocessing.active_children() == []
+        assert P._leased == 0
 
 
 def test_compare_init_one_cpu_creates_no_pool(monkeypatch):
@@ -218,14 +408,14 @@ def test_compare_init_one_cpu_creates_no_pool(monkeypatch):
     _compare()
 
 
-def test_rand_arm_divergence_raises_the_serial_error(monkeypatch):
+def test_rand_arm_divergence_raises_the_serial_error(monkeypatch, blas_restored):
     serial = _divergence(monkeypatch, 1, RUN, rand_blowup=True)
     parallel = _divergence(monkeypatch, 2, RUN, rand_blowup=True)
     assert serial.step == 1
     assert (parallel.step, str(parallel)) == (serial.step, str(serial))
 
 
-def test_both_arms_diverging_raise_the_cbd_error(monkeypatch):
+def test_both_arms_diverging_raise_the_cbd_error(monkeypatch, blas_restored):
     # lr=1e30 unclipped overflows the cbd arm's forward at step 2; the rand
     # arm's NaN gradient fails in adam_step at step 1, earlier in time
     for cpus in (1, 2):
@@ -233,21 +423,22 @@ def test_both_arms_diverging_raise_the_cbd_error(monkeypatch):
         assert error.step == 2 and "adam_step" not in str(error), cpus
 
 
-def test_both_arms_train_with_one_blas_thread(monkeypatch):
-    blas = P._openblas_threads()
+_TRAIN = E._train_with_val_curve
+
+
+def _train_on_one_thread(*args):
+    assert _blas_threads() == 1
+    return _TRAIN(*args)
+
+
+def test_both_arms_train_with_one_blas_thread(monkeypatch, blas_restored):
     _cpus(monkeypatch, 2)
-    if blas is None:
+    if blas_restored is None:
         _no_pool(monkeypatch)
         _compare()
         return
-    get_threads, set_threads = blas
-    train = E._train_with_val_curve
-
-    def one_thread(*args):
-        assert get_threads() == 1
-        return train(*args)
-
-    monkeypatch.setattr(E, "_train_with_val_curve", one_thread)
+    get_threads, set_threads = blas_restored
+    monkeypatch.setattr(E, "_train_with_val_curve", _train_on_one_thread)
     before = get_threads()
     set_threads(2)
     try:
@@ -330,7 +521,7 @@ def test_eval_inside_forked_tasks_starts_no_process(monkeypatch, blas_restored, 
     assert len({pid for _, pid in results}) == (cpus if forked else 1)
 
 
-def test_eval_beside_live_producers_starts_no_process(monkeypatch, blas_restored):
+def test_eval_beside_live_producers_leases_no_worker(monkeypatch, blas_restored):
     expected = _eval()
     _cpus(monkeypatch, 2)
     corpus = _corpus()
@@ -339,36 +530,46 @@ def test_eval_beside_live_producers_starts_no_process(monkeypatch, blas_restored
     with closing(K._TeacherStream(_ckpt(3, "teacher"), columns, draws, 1.0)) as stream:
         batches = iter(stream)
         next(batches)
-        assert len(multiprocessing.active_children()) == (P._openblas_threads() is not None)
+        assert P._leased == (blas_restored is not None)
         with monkeypatch.context() as serial:
             _no_pool(serial)
             assert _eval() == expected
         list(batches)
 
 
-def test_a_worker_dying_mid_eval_raises(monkeypatch, blas_restored):
-    if P._openblas_threads() is None:
-        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
-    parent, score = os.getpid(), K._nll_sums
+_NLL_SUMS = K._nll_sums
 
-    def die(*args):
-        if os.getpid() != parent:
-            os._exit(9)
-        return score(*args)
+
+def _die_in_worker(*args):
+    if P._in_worker:
+        os._exit(9)
+    return _NLL_SUMS(*args)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_worker_dying_mid_eval_raises(monkeypatch, blas_restored, cpus):
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
+    expected = _eval()
 
     def hung(signum, frame):
         raise AssertionError("the caller waited on a dead worker")
 
-    monkeypatch.setattr(K, "_nll_sums", die)
-    _cpus(monkeypatch, 2)
+    _cpus(monkeypatch, cpus)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(K.DistillError, match="exit code 9"):
-            _eval()
+        with monkeypatch.context() as dying:
+            dying.setattr(K, "_nll_sums", _die_in_worker)
+            with pytest.raises(K.DistillError, match="exit code 9"):
+                _eval()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    # the dead worker is dropped, and the next eval forks a replacement
+    assert P._pool == [] and P._leased == 0
+    assert _eval() == expected
+    assert len(P._pool) == cpus - 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -20,6 +20,26 @@ def zero_params(config, dtype=np.float32):
     return params
 
 
+def sample_with_choice(config, params, prompts, temperature, max_new, seeds):
+    """transformer.sample as it first drew its tokens, with one rng.choice
+    call per row and token: the frozen reference for its draws."""
+    prompts = np.asarray(prompts)
+    b, n = prompts.shape
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    out = np.empty((b, n + max_new), dtype=np.int64)
+    out[:, :n] = prompts
+    cache = M.KVCache(config, b, n + max_new, params["embed.tok"].dtype)
+    with no_grad():
+        for t in range(n, n + max_new):
+            logits = M.forward(config, params, out[:, cache.pos:t], cache).data[:, -1].astype(F64)
+            z = logits / temperature
+            z -= z.max(axis=-1, keepdims=True)
+            probs = np.exp(z)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            out[:, t] = [rng.choice(config.vocab_size, p=row) for rng, row in zip(rngs, probs)]
+    return out
+
+
 class TestConfig:
     def test_inner_width_decoupled_from_d_model(self):
         cfg = ModelConfig(n_layers=1, n_heads=3, head_dim=8, d_model=16, d_ff=32, vocab_size=11, max_seq_len=8)
@@ -202,6 +222,32 @@ class TestSample:
         params["final.ln.b"] = Tensor(beta)
         out = M.sample(TINY, params, [[1], [2]], temperature=1.0, max_new=4, seeds=[0, 1])
         assert out[:, 1:].tolist() == [[7, 7, 7, 7]] * 2
+
+    def test_draws_equal_per_row_choice(self):
+        # 200 steps of 40 rows, each row's rng shared by the CDF search and choice
+        gen = np.random.default_rng(5)
+        drawn, chosen = ([np.random.default_rng(s) for s in range(40)] for _ in range(2))
+        for _ in range(200):
+            z = gen.normal(scale=gen.uniform(0.1, 8.0), size=(40, 13))
+            z[gen.random((40, 13)) < 0.2] = -800.0  # some probabilities underflow to 0
+            probs = np.exp(z - z.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            u = np.array([rng.random() for rng in drawn])
+            expected = [rng.choice(13, p=row) for rng, row in zip(chosen, probs)]
+            assert (T._choice_cdf(probs) <= u[:, None]).sum(axis=1).tolist() == expected
+
+    @pytest.mark.parametrize("temperature", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sample_equals_the_choice_reference(self, temperature, seed):
+        params = M.init_random(TINY, seed)
+        prompts, seeds = [[1, 2], [3, 4], [5, 6]], [seed, seed + 10, seed + 20]
+        got = M.sample(TINY, params, prompts, temperature, 8, seeds)
+        assert got.tolist() == sample_with_choice(TINY, params, prompts, temperature, 8, seeds).tolist()
+
+    def test_choice_cdf_checks_the_probabilities(self):
+        for row in ([0.5, 0.6], [1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(TensorError, match="not finite, non-negative and summing to 1"):
+                T._choice_cdf(np.array([row]))
 
     def test_prompt_too_long(self):
         params = M.init_random(TINY, 0)
