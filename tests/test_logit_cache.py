@@ -340,7 +340,7 @@ def test_a_dead_producer_raises_instead_of_hanging(monkeypatch, tmp_path, blas_r
     assert _edge_bytes(tmp_path, EDGE_RUNS["reverse_kl_sft"]) == expected
 
 
-def test_producers_are_given_back_after_the_last_group(monkeypatch, tmp_path, blas_restored):
+def test_producers_end_after_the_last_group(monkeypatch, tmp_path, blas_restored):
     # 40 KD steps draw every window they ever draw well before the last step:
     # the producers are given back to the pool once the last non-empty group
     # is in, and the student trains the remaining steps with no worker leased

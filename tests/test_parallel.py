@@ -213,7 +213,7 @@ def test_a_task_that_cannot_be_pickled_raises_in_the_caller(monkeypatch, blas_re
     assert P._run_forked([partial(_value, 0), partial(_value, 1)]) == [0, 1]
 
 
-def test_a_dead_worker_raises_and_the_next_call_gets_a_replacement(monkeypatch, blas_restored):
+def test_a_dead_worker_raises_and_the_rest_are_joined(monkeypatch, blas_restored):
     _cpus(monkeypatch, 3)
     if blas_restored is None:
         pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
@@ -521,7 +521,7 @@ def test_eval_inside_forked_tasks_starts_no_process(monkeypatch, blas_restored, 
     assert len({pid for _, pid in results}) == (cpus if forked else 1)
 
 
-def test_eval_beside_live_producers_leases_no_worker(monkeypatch, blas_restored):
+def test_eval_beside_live_producers_starts_no_process(monkeypatch, blas_restored):
     expected = _eval()
     _cpus(monkeypatch, 2)
     corpus = _corpus()
@@ -546,8 +546,7 @@ def _die_in_worker(*args):
     return _NLL_SUMS(*args)
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_a_worker_dying_mid_eval_raises(monkeypatch, blas_restored, cpus):
+def test_a_worker_dying_mid_eval_raises(monkeypatch, blas_restored):
     if blas_restored is None:
         pytest.skip("no OpenBLAS whose thread count can be set: nothing is forked")
     expected = _eval()
@@ -555,21 +554,23 @@ def test_a_worker_dying_mid_eval_raises(monkeypatch, blas_restored, cpus):
     def hung(signum, frame):
         raise AssertionError("the caller waited on a dead worker")
 
-    _cpus(monkeypatch, cpus)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with monkeypatch.context() as dying:
-            dying.setattr(K, "_nll_sums", _die_in_worker)
-            with pytest.raises(K.DistillError, match="exit code 9"):
-                _eval()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    # the dead worker is dropped, and the next eval forks a replacement
-    assert P._pool == [] and P._leased == 0
-    assert _eval() == expected
-    assert len(P._pool) == cpus - 1
+    for cpus in (2, 3):
+        _cpus(monkeypatch, cpus)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with monkeypatch.context() as dying:
+                dying.setattr(K, "_nll_sums", _die_in_worker)
+                with pytest.raises(K.DistillError, match="exit code 9"):
+                    _eval()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        # the dead workers are dropped, and the next eval forks replacements
+        assert P._pool == [] and P._leased == 0
+        assert _eval() == expected
+        assert len(P._pool) == cpus - 1
+        P.shutdown()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
